@@ -1,7 +1,7 @@
 //! The parallel, deterministic Monte-Carlo trial engine.
 //!
 //! Every repeated-sampling experiment in this workspace — the umbrella
-//! crate's `Pipeline` and `StreamPipeline`, the [`crate::empirical`]
+//! crate's `Pipeline` and catalog replay, the [`crate::empirical`]
 //! evaluators, the figure harnesses — boils down to the same loop: for each
 //! trial `t` in `[0, trials)`, derive that trial's randomization from `t`,
 //! compute one observation per *lane* (usually one lane per estimator), and
@@ -38,7 +38,7 @@
 //! [`TrialRunner::new`] reads the `PIE_THREADS` environment variable
 //! (clamped to ≥ 1; unparsable values are ignored) and falls back to
 //! [`std::thread::available_parallelism`].  Builders that embed a runner
-//! (`Pipeline::threads`, `StreamPipeline::threads`) override it explicitly.
+//! (`Pipeline::threads`) override it explicitly.
 //!
 //! ```
 //! use pie_analysis::trial::TrialRunner;

@@ -5,10 +5,10 @@
 //!
 //! Two effects are measured:
 //!
-//! * **engine vs. bespoke loop** — even single-threaded, the engine's
-//!   pooled outcome buffers and batched `estimate_batch` hot path beat the
-//!   legacy per-trial loop (fresh per-key outcome construction, one virtual
-//!   call per key per estimator);
+//! * **engine vs. bespoke loop** — even single-threaded, the pipeline's
+//!   pooled sketch ingest, outcome lanes and `estimate_lanes` kernels beat
+//!   the legacy per-trial loop (`sample_all` per trial, fresh per-key
+//!   outcome construction, one virtual call per key per estimator);
 //! * **thread scaling** — trial chunks run one per worker thread; on
 //!   multi-core hosts the threaded rows drop proportionally, while on a
 //!   single hardware thread they only pay the (small) spawn + merge
@@ -170,7 +170,8 @@ fn main() {
          \"note\": \"legacy_sequential_trial_loop is the bespoke pre-engine trial loop \
          (per-trial sample_all + per-key aggregate estimators + sequential accumulation); \
          pipeline_trials_threads_N is the TrialRunner-backed Pipeline with N worker threads, \
-         pooled outcome buffers, and the batched estimate_batch hot path. Reports are asserted \
+         pooled one-shard sketch ingest per trial, SoA outcome lanes, and the estimate_lanes \
+         kernels. Reports are asserted \
          bit-identical across all thread counts each run. Thread rows only scale with \
          threads_available; on a single hardware thread they measure engine overhead.\",\n  \
          \"speedup_threads8_vs_legacy_loop\": {:.2},\n  \

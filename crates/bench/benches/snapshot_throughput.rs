@@ -8,7 +8,7 @@
 //!    operationally if serializing them is much cheaper than rebuilding
 //!    them.
 //! 2. **Checkpoint-restore vs recompute-from-scratch** — through the real
-//!    `StreamPipeline` ingest-session API: time to re-ingest the whole
+//!    `Pipeline` ingest-session API: time to re-ingest the whole
 //!    stream versus time to restore the equivalent sketch state from
 //!    snapshot files (plus the cost of writing the checkpoint itself).
 //!    Restore is also asserted to reproduce the uninterrupted report bit
@@ -27,7 +27,7 @@ use std::sync::Arc;
 use std::time::Instant;
 
 use partial_info_estimators::core::suite::max_weighted_suite;
-use partial_info_estimators::{Scheme, Statistic, StreamPipeline};
+use partial_info_estimators::{Pipeline, Scheme, Statistic};
 use pie_datagen::{generate_two_hours, Dataset, TrafficConfig};
 use pie_sampling::{
     BottomKSampler, Instance, ObliviousPoissonSampler, PpsPoissonSampler, PpsRanks, SamplingScheme,
@@ -154,7 +154,7 @@ fn main() {
 
     // Checkpoint-restore vs recompute-from-scratch through the session API.
     let configure = || {
-        StreamPipeline::new()
+        Pipeline::new()
             .dataset(Arc::clone(&dataset))
             .scheme(Scheme::pps(220.0))
             .shards(CHECKPOINT_SHARDS)
@@ -217,7 +217,7 @@ fn main() {
         })
         .collect();
     let json = format!(
-        "{{\n  \"bench\": \"snapshot_throughput\",\n  \"records\": {total_records},\n  \"threads_available\": {threads},\n  \"note\": \"encode/decode MB/s of one full-stream sketch per instance and family (snapshot frame bytes, best of {ROUNDS}); checkpoint block times the StreamPipeline ingest-session path: recompute = fresh ingest of the whole stream, restore = load per-(instance, shard) snapshot files; both paths share session_setup_ms (stream partitioning), and the sketch_state_* fields net it out. The restored report is asserted bit-identical to the uninterrupted run.\",\n  \"codec\": [\n{}\n  ],\n  \"checkpoint\": {{ \"shards\": {CHECKPOINT_SHARDS}, \"trials\": {CHECKPOINT_TRIALS}, \"session_setup_ms\": {setup_ms:.2}, \"recompute_ms\": {recompute_ms:.2}, \"checkpoint_ms\": {checkpoint_ms:.2}, \"restore_ms\": {restore_ms:.2}, \"restore_vs_recompute_speedup\": {speedup:.2}, \"sketch_state_reingest_ms\": {net_recompute_ms:.2}, \"sketch_state_decode_ms\": {net_restore_ms:.2}, \"sketch_state_speedup\": {net_speedup:.2} }}\n}}\n",
+        "{{\n  \"bench\": \"snapshot_throughput\",\n  \"records\": {total_records},\n  \"threads_available\": {threads},\n  \"note\": \"encode/decode MB/s of one full-stream sketch per instance and family (snapshot frame bytes, best of {ROUNDS}); checkpoint block times the Pipeline ingest-session path: recompute = fresh ingest of the whole stream, restore = load per-(instance, shard) snapshot files; both paths share session_setup_ms (stream partitioning), and the sketch_state_* fields net it out. The restored report is asserted bit-identical to the uninterrupted run.\",\n  \"codec\": [\n{}\n  ],\n  \"checkpoint\": {{ \"shards\": {CHECKPOINT_SHARDS}, \"trials\": {CHECKPOINT_TRIALS}, \"session_setup_ms\": {setup_ms:.2}, \"recompute_ms\": {recompute_ms:.2}, \"checkpoint_ms\": {checkpoint_ms:.2}, \"restore_ms\": {restore_ms:.2}, \"restore_vs_recompute_speedup\": {speedup:.2}, \"sketch_state_reingest_ms\": {net_recompute_ms:.2}, \"sketch_state_decode_ms\": {net_restore_ms:.2}, \"sketch_state_speedup\": {net_speedup:.2} }}\n}}\n",
         rows.join(",\n")
     );
     let path = concat!(

@@ -186,4 +186,79 @@ mod tests {
             or_weighted_suite().names().collect::<Vec<_>>()
         );
     }
+
+    /// Asserts that every estimator in `registry` returns exactly `0.0` on
+    /// each outcome, through both `estimate` and `estimate_lanes`.
+    fn assert_zero_on<O: pie_sampling::LaneOutcome>(
+        suite: &str,
+        registry: &EstimatorRegistry<O>,
+        outcomes: &[O],
+        lanes: &O::Lanes,
+    ) {
+        let mut out = vec![f64::NAN; outcomes.len()];
+        for (name, estimator) in registry.iter() {
+            for (k, outcome) in outcomes.iter().enumerate() {
+                let scalar = estimator.estimate(outcome);
+                assert!(
+                    scalar == 0.0,
+                    "{suite}/{name} scalar, outcome {k}: {scalar}"
+                );
+            }
+            estimator.estimate_lanes(lanes, &mut out);
+            for (k, &lane) in out.iter().enumerate() {
+                assert!(lane == 0.0, "{suite}/{name} lanes, outcome {k}: {lane}");
+            }
+        }
+    }
+
+    /// Every estimator of every named suite is exactly zero on a
+    /// fully-unsampled outcome (an all-`None` outcome is consistent with
+    /// the all-zero value vector).  The PPS pipeline core relies on this
+    /// when it credits keys sampled in no instance with zero without
+    /// consulting the estimators.
+    #[test]
+    fn every_suite_is_zero_on_fully_unsampled_outcomes() {
+        use pie_sampling::{ObliviousEntry, ObliviousLanes, WeightedEntry, WeightedLanes};
+        for name in SUITE_NAMES {
+            match suite_regime(name).expect(name) {
+                SuiteRegime::Oblivious => {
+                    let arities: &[usize] = if name == "max_oblivious_uniform" {
+                        &[2, 3, 5]
+                    } else {
+                        &[2]
+                    };
+                    for &r in arities {
+                        for p in [0.05, 0.5, 1.0] {
+                            let registry = oblivious_suite_by_name(name, r, p).expect(name);
+                            let outcome =
+                                ObliviousOutcome::new(vec![ObliviousEntry { p, value: None }; r]);
+                            let outcomes = vec![outcome; 9];
+                            let mut lanes = ObliviousLanes::new();
+                            lanes.fill_from_outcomes(&outcomes);
+                            assert_zero_on(name, &registry, &outcomes, &lanes);
+                        }
+                    }
+                }
+                SuiteRegime::Weighted => {
+                    let registry = weighted_suite_by_name(name).expect(name);
+                    // Known seeds across the unit interval and thresholds
+                    // across scales, as the PPS scheme reveals them.
+                    let mut outcomes = Vec::new();
+                    for tau_star in [0.5, 1.0, 200.0] {
+                        for (u1, u2) in [(0.01, 0.99), (0.5, 0.5), (0.9, 0.2), (0.3, 0.7)] {
+                            let entry = |u| WeightedEntry {
+                                tau_star,
+                                seed: Some(u),
+                                value: None,
+                            };
+                            outcomes.push(WeightedOutcome::new(vec![entry(u1), entry(u2)]));
+                        }
+                    }
+                    let mut lanes = WeightedLanes::new();
+                    lanes.fill_from_outcomes(&outcomes);
+                    assert_zero_on(name, &registry, &outcomes, &lanes);
+                }
+            }
+        }
+    }
 }

@@ -7,8 +7,8 @@
 //! [`SeedAssignment`], ingest each instance's records, and finalize into the
 //! per-instance samples downstream estimation consumes.  They are the
 //! single-process, single-shard specialization of the sharded
-//! ingest → merge → estimate flow; a sharded front-end (the umbrella crate's
-//! `StreamPipeline`) uses the same sketches across threads.
+//! ingest → merge → estimate flow that the umbrella crate's `Pipeline` runs
+//! with the same sketches across threads, and serve as its test reference.
 //!
 //! Records are ingested in ascending key order, so even order-sensitive
 //! schemes (VarOpt) are reproducible across processes.

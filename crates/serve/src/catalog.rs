@@ -10,7 +10,7 @@
 //!
 //! * [`SketchCatalog::load_snapshot`] — a persisted
 //!   [`CatalogEntry`] snapshot file (written by
-//!   [`CatalogEntry::save`], `StreamPipeline::into_catalog_entry`, or a
+//!   [`CatalogEntry::save`], `Pipeline::into_catalog_entry`, or a
 //!   checkpoint-resumed session's `finish_into_catalog`);
 //! * [`SketchCatalog::ingest`] — live record batches that accumulate in a
 //!   *building* slot until a final batch turns them into a dataset and

@@ -749,16 +749,35 @@ fn dial(addrs: &[SocketAddr], config: &ClientConfig) -> io::Result<TcpStream> {
         .unwrap_or_else(|| io::Error::new(io::ErrorKind::InvalidInput, "no address to connect to")))
 }
 
-/// Applies the read/write timeouts and splits the stream into halves (the
-/// socket options are set before cloning, so both halves share them).
+/// Disables Nagle's algorithm, applies the read/write timeouts and splits
+/// the stream into halves (the socket options are set before cloning, so
+/// both halves share them).
+///
+/// Without `TCP_NODELAY` a request frame larger than one segment (an
+/// `IngestBatch` payload, say) waits for the server's delayed ACK before
+/// its tail is sent; the server disables Nagle on its side too.
 fn split(
     stream: TcpStream,
     config: &ClientConfig,
 ) -> Result<(BufReader<TcpStream>, BufWriter<TcpStream>), ServeError> {
     stream
-        .set_read_timeout(config.read_timeout)
+        .set_nodelay(true)
+        .and_then(|()| stream.set_read_timeout(config.read_timeout))
         .and_then(|()| stream.set_write_timeout(config.write_timeout))
         .map_err(|e| ServeError::transport(&e))?;
     let read_half = stream.try_clone().map_err(|e| ServeError::transport(&e))?;
     Ok((BufReader::new(read_half), BufWriter::new(stream)))
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn connected_client_disables_nagle() {
+        let listener = std::net::TcpListener::bind("127.0.0.1:0").unwrap();
+        let client = ServeClient::connect(listener.local_addr().unwrap()).unwrap();
+        assert!(client.writer.get_ref().nodelay().unwrap());
+        assert!(client.reader.get_ref().nodelay().unwrap());
+    }
 }

@@ -27,7 +27,7 @@
 //! one shared replay), and `Stats` (cache/queue/tenant observability).
 //! Estimation dispatches through the existing `EstimatorRegistry` suites
 //! and the shared estimation cores, so a served report is
-//! **bit-identical** to running `Pipeline` / `StreamPipeline` in-process
+//! **bit-identical** to running `Pipeline` in-process
 //! on the same configuration — moving estimation behind the wire changes
 //! where it runs, not what it returns.  Every estimation request passes
 //! the [`pie_engine::QueryEngine`] first: per-tenant token-bucket quotas

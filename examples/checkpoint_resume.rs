@@ -6,7 +6,7 @@
 //! "crashes" (the session is dropped).  A fresh, identically configured
 //! pipeline resumes from the checkpoint directory, ingests the remaining
 //! records, and finishes — and the resulting report is **bit-identical** to
-//! an uninterrupted [`StreamPipeline::run`].  The report itself is then
+//! an uninterrupted [`Pipeline::run`].  The report itself is then
 //! persisted and reloaded through the same snapshot codec.
 //!
 //! Run with:
@@ -18,10 +18,10 @@ use std::sync::Arc;
 
 use partial_info_estimators::core::suite::max_weighted_suite;
 use partial_info_estimators::datagen::{generate_two_hours, Dataset, TrafficConfig};
-use partial_info_estimators::{PipelineReport, Scheme, Statistic, StreamPipeline};
+use partial_info_estimators::{Pipeline, PipelineReport, Scheme, Statistic};
 
-fn configure(data: &Arc<Dataset>) -> StreamPipeline {
-    StreamPipeline::new()
+fn configure(data: &Arc<Dataset>) -> Pipeline {
+    Pipeline::new()
         .dataset(Arc::clone(data))
         .scheme(Scheme::pps(120.0))
         .shards(4)

@@ -10,10 +10,10 @@
 //! the two hours — is estimated, comparing the HT and the Pareto-optimal L
 //! estimators.
 //!
-//! The repeated-sampling experiment runs through the [`StreamPipeline`]
-//! front-end: sharded ingest, merge tree, pooled outcome assembly, batched
-//! estimation (`Estimator::estimate_batch`), and aggregation are wired by
-//! the library, not hand-rolled here.
+//! The repeated-sampling experiment runs through the [`Pipeline`]:
+//! sharded ingest, merge tree, outcome lanes, the estimators' lane kernels
+//! (`Estimator::estimate_lanes`), and aggregation are wired by the library,
+//! not hand-rolled here.
 //!
 //! Run with:
 //! ```text
@@ -26,7 +26,7 @@ use partial_info_estimators::core::aggregate::{
 use partial_info_estimators::core::suite::max_weighted_suite;
 use partial_info_estimators::datagen::{generate_two_hours, TrafficConfig};
 use partial_info_estimators::sampling::{sample_all, PpsPoissonSampler, SeedAssignment};
-use partial_info_estimators::{Scheme, Statistic, StreamPipeline};
+use partial_info_estimators::{Pipeline, Scheme, Statistic};
 
 fn main() {
     let mut config = TrafficConfig::paper_scale();
@@ -64,7 +64,7 @@ fn main() {
     // trials spread over the machine's cores (the thread count — here the
     // PIE_THREADS / available-parallelism default — never changes the
     // report, so this line is reproducible everywhere).
-    let report = StreamPipeline::new()
+    let report = Pipeline::new()
         .dataset(data)
         .scheme(Scheme::pps(tau_star))
         .shards(4)
@@ -73,7 +73,7 @@ fn main() {
         .trials(30)
         .base_salt(0)
         .run()
-        .expect("stream pipeline is fully configured");
+        .expect("pipeline is fully configured");
 
     println!(
         "\nover {} independent samplings (4 ingest shards per hour):",

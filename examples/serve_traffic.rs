@@ -14,7 +14,7 @@ use partial_info_estimators::core::suite::max_weighted_suite;
 use partial_info_estimators::datagen::{
     dataset_records, generate_two_hours, shard_of, TrafficConfig,
 };
-use partial_info_estimators::{Pipeline, Scheme, Statistic, StreamPipeline};
+use partial_info_estimators::{Pipeline, Scheme, Statistic};
 use pie_serve::{IngestRecord, ServeClient, Server, SketchConfig};
 
 const INGEST_SHARDS: usize = 4;
@@ -82,7 +82,7 @@ fn main() {
 
     // 2) Persisted snapshot: export the same pipeline's sketch state to a
     //    pie-store snapshot file and have the server load it.
-    let entry = StreamPipeline::new()
+    let entry = Pipeline::new()
         .dataset(Arc::clone(&data))
         .scheme(config.scheme)
         .shards(INGEST_SHARDS)

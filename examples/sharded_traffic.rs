@@ -4,7 +4,7 @@
 //! through the streaming sampling API at increasing shard counts, timing the
 //! ingest → merge → finalize pass, and contrasts it with the legacy batch
 //! path (materialize an `Instance` from the stream, then `sample()` it).
-//! It then runs the same estimation suite through [`StreamPipeline`] at each
+//! It then runs the same estimation suite through [`Pipeline`] at each
 //! shard count to demonstrate the core guarantee: **sharding changes the
 //! wall clock, never the estimates** — hash-seeded sketches merge to the
 //! bit-identical sample the single stream would produce.
@@ -20,9 +20,7 @@ use std::time::Instant;
 use partial_info_estimators::core::suite::max_weighted_suite;
 use partial_info_estimators::datagen::{generate_two_hours, ShardedStream, TrafficConfig};
 use partial_info_estimators::sampling::{Instance, PpsPoissonSampler, SeedAssignment};
-use partial_info_estimators::{
-    ingest_merge_finalize, sketch_pools, Scheme, Statistic, StreamPipeline,
-};
+use partial_info_estimators::{ingest_merge_finalize, sketch_pools, Pipeline, Scheme, Statistic};
 
 const SHARD_COUNTS: [usize; 4] = [1, 2, 4, 8];
 
@@ -52,7 +50,7 @@ fn main() {
     println!("legacy batch (materialize + sample) : {batch_ms:8.2} ms");
 
     // Streaming ingest at increasing shard counts, through the exact pass
-    // the StreamPipeline hot loop runs (one thread per shard, merge tree).
+    // the Pipeline trial loop runs (one thread per shard, merge tree).
     for shards in SHARD_COUNTS {
         let stream = ShardedStream::from_dataset(&data, shards);
         let mut pools = sketch_pools(&sampler, &stream, &seeds);
@@ -74,7 +72,7 @@ fn main() {
     let mut last: Option<(usize, usize, f64)> = None;
     for shards in SHARD_COUNTS {
         for threads in [1, 4] {
-            let report = StreamPipeline::new()
+            let report = Pipeline::new()
                 .dataset(Arc::clone(&data))
                 .scheme(Scheme::pps(tau_star))
                 .shards(shards)
@@ -84,7 +82,7 @@ fn main() {
                 .trials(10)
                 .base_salt(1)
                 .run()
-                .expect("stream pipeline is fully configured");
+                .expect("pipeline is fully configured");
             let l = report.get("max_l_pps_2").expect("L in suite");
             println!(
                 "  {shards} shard(s) x {threads} thread(s): mean L estimate = {:.4}",

@@ -8,7 +8,7 @@
 //! statistic per query.  [`CatalogEntry`] is that unit:
 //!
 //! * **built once** — from a dataset's record stream via
-//!   [`CatalogEntry::build`] / [`StreamPipeline::into_catalog_entry`], or
+//!   [`CatalogEntry::build`] / [`Pipeline::into_catalog_entry`], or
 //!   from a completed (possibly checkpoint-resumed) ingest session via
 //!   [`StreamIngestSession::finish_into_catalog`] — holding one finalized
 //!   [`InstanceSample`] per `(trial, instance)`;
@@ -16,10 +16,9 @@
 //!   write one versioned, checksummed `pie-store` snapshot file, so a
 //!   serving process can load sketch state produced elsewhere;
 //! * **queried many times** — [`CatalogEntry::estimate`] runs any
-//!   estimator registry and statistic over the *same* estimation cores the
-//!   live pipelines use, so a served answer is **bit-identical** to what
-//!   [`Pipeline`](crate::Pipeline) / [`StreamPipeline`] would have produced
-//!   in-process on the same configuration;
+//!   estimator registry and statistic over the *same* estimation cores
+//!   [`Pipeline`] uses, so a served answer is **bit-identical** to what it
+//!   would have produced in-process on the same configuration;
 //! * **addressable by name** — [`CatalogEntry::estimate_named`] resolves
 //!   estimator suites ([`pie_core::suite`]) and statistics
 //!   ([`Statistic::by_name`]) from strings, returning typed
@@ -29,8 +28,8 @@
 //!
 //! [`StreamIngestSession::finish_into_catalog`]:
 //! crate::StreamIngestSession::finish_into_catalog
-//! [`StreamPipeline::into_catalog_entry`]:
-//! crate::StreamPipeline::into_catalog_entry
+//! [`Pipeline`]: crate::Pipeline
+//! [`Pipeline::into_catalog_entry`]: crate::Pipeline::into_catalog_entry
 //!
 //! ```
 //! use partial_info_estimators::{CatalogEntry, Scheme};
@@ -53,15 +52,15 @@ use std::path::Path;
 use std::sync::Arc;
 
 use pie_core::suite::{oblivious_suite_by_name, suite_regime, weighted_suite_by_name, SuiteRegime};
-use pie_datagen::{Dataset, ShardedStream};
-use pie_sampling::{InstanceSample, ObliviousPoissonSampler, PpsPoissonSampler, SeedAssignment};
+use pie_datagen::Dataset;
+use pie_sampling::{InstanceSample, SeedAssignment};
 use pie_store::{Decode, Encode, StoreError};
 
 use crate::pipeline::{
-    run_oblivious_multi_with, run_oblivious_with, run_pps_multi_with, run_pps_with,
-    validate_scheme, EstimatorSet, PipelineError, PipelineReport, Scheme, Statistic, TrialPlan,
+    only_report, replay_samples, validate_scheme, EstimatorSet, PipelineError, PipelineReport,
+    Scheme, Statistic, TrialPlan,
 };
-use crate::stream::{ingest_merge_finalize, sketch_pools};
+use crate::stream::SchemePools;
 
 /// Why a catalog entry could not resolve or answer a query.
 #[derive(Debug)]
@@ -200,9 +199,9 @@ impl CatalogEntry {
     /// and finalizes the per-instance samples.
     ///
     /// The sampling path is the same sharded ingest → merge tree → finalize
-    /// choreography [`StreamPipeline`](crate::StreamPipeline) runs per
-    /// trial, so estimates over the entry are bit-identical to the live
-    /// pipelines on the same configuration.
+    /// choreography [`Pipeline::run`](crate::Pipeline::run) runs per trial,
+    /// so estimates over the entry are bit-identical to the live pipeline on
+    /// the same configuration.
     ///
     /// # Errors
     /// [`PipelineError::InvalidScheme`] for out-of-range scheme parameters.
@@ -216,29 +215,18 @@ impl CatalogEntry {
         validate_scheme(scheme)?;
         let dataset = dataset.into();
         let shards = shards.max(1);
-        let seeds0 = SeedAssignment::independent_known(base_salt);
-        let samples = match scheme {
-            Scheme::ObliviousPoisson { p } => {
-                let stream = ShardedStream::over_universe(&dataset, shards);
-                let mut pools = sketch_pools(&ObliviousPoissonSampler::new(p), &stream, &seeds0);
-                (0..trials)
-                    .map(|t| {
-                        let seeds = SeedAssignment::independent_known(base_salt.wrapping_add(t));
-                        ingest_merge_finalize(&stream, &mut pools, &seeds)
-                    })
-                    .collect()
-            }
-            Scheme::PpsPoisson { tau_star } => {
-                let stream = ShardedStream::from_dataset(&dataset, shards);
-                let mut pools = sketch_pools(&PpsPoissonSampler::new(tau_star), &stream, &seeds0);
-                (0..trials)
-                    .map(|t| {
-                        let seeds = SeedAssignment::independent_known(base_salt.wrapping_add(t));
-                        ingest_merge_finalize(&stream, &mut pools, &seeds)
-                    })
-                    .collect()
-            }
-        };
+        let stream = scheme.record_stream(&dataset, shards);
+        let mut pools = SchemePools::new(
+            scheme,
+            &stream,
+            &SeedAssignment::independent_known(base_salt),
+        );
+        let samples = (0..trials)
+            .map(|t| {
+                let seeds = SeedAssignment::independent_known(base_salt.wrapping_add(t));
+                pools.ingest_merge_finalize(&stream, &seeds)
+            })
+            .collect();
         Ok(Self::from_parts(
             dataset, scheme, shards, trials, base_salt, samples,
         ))
@@ -390,9 +378,8 @@ impl CatalogEntry {
 
     /// Runs `estimators` and `statistic` over the entry's finalized samples
     /// through the shared estimation cores — bit-identical to
-    /// [`Pipeline::run`](crate::Pipeline::run) /
-    /// [`StreamPipeline::run`](crate::StreamPipeline::run) on the same
-    /// configuration, at any thread count.
+    /// [`Pipeline::run`](crate::Pipeline::run) on the same configuration, at
+    /// any thread and shard count.
     ///
     /// # Errors
     /// [`PipelineError::MissingEstimators`] for an empty registry,
@@ -446,33 +433,8 @@ impl CatalogEntry {
             return Err(PipelineError::MissingEstimators);
         }
         let plan = TrialPlan::new(self.trials, self.base_salt, threads).with_observer(observer);
-        let samples = &self.samples;
-        match (self.scheme, estimators) {
-            (Scheme::ObliviousPoisson { .. }, EstimatorSet::Oblivious(registry)) => Ok(
-                // Borrow the finalized samples: the serving hot path must
-                // not deep-copy every trial's entries per query.
-                run_oblivious_with(&self.dataset, &registry, &statistic, &plan, |_worker| {
-                    move |t, _seeds: &SeedAssignment| samples[t as usize].as_slice()
-                }),
-            ),
-            (Scheme::PpsPoisson { tau_star }, EstimatorSet::Weighted(registry)) => {
-                Ok(run_pps_with(
-                    &self.dataset,
-                    tau_star,
-                    &registry,
-                    &statistic,
-                    &plan,
-                    |_worker| move |t, _seeds: &SeedAssignment| samples[t as usize].as_slice(),
-                ))
-            }
-            (scheme, estimators) => Err(PipelineError::RegimeMismatch {
-                scheme: format!("{scheme:?}"),
-                estimators: match estimators {
-                    EstimatorSet::Oblivious(_) => "weight-oblivious",
-                    EstimatorSet::Weighted(_) => "weighted",
-                },
-            }),
-        }
+        let combo = [(&estimators, &statistic)];
+        replay_samples(&self.dataset, self.scheme, &combo, &plan, &self.samples).map(only_report)
     }
 
     /// Resolves `suite` and `statistic` by name and estimates — the one
@@ -594,46 +556,14 @@ impl CatalogEntry {
             return Ok(Vec::new());
         }
         let plan = TrialPlan::new(self.trials, self.base_salt, threads).with_observer(observer);
-        let samples = &self.samples;
-        // `suite()` regime-checks every set against this entry's scheme, so
-        // the sets are homogeneous and match the arm we dispatch to.
-        match self.scheme {
-            Scheme::ObliviousPoisson { .. } => {
-                let combos: Vec<_> = resolved
-                    .iter()
-                    .map(|(set, statistic)| match set {
-                        EstimatorSet::Oblivious(registry) => (registry, statistic),
-                        EstimatorSet::Weighted(_) => {
-                            unreachable!("suite() regime-checks against the scheme")
-                        }
-                    })
-                    .collect();
-                Ok(run_oblivious_multi_with(
-                    &self.dataset,
-                    &combos,
-                    &plan,
-                    |_worker| move |t, _seeds: &SeedAssignment| samples[t as usize].as_slice(),
-                ))
-            }
-            Scheme::PpsPoisson { tau_star } => {
-                let combos: Vec<_> = resolved
-                    .iter()
-                    .map(|(set, statistic)| match set {
-                        EstimatorSet::Weighted(registry) => (registry, statistic),
-                        EstimatorSet::Oblivious(_) => {
-                            unreachable!("suite() regime-checks against the scheme")
-                        }
-                    })
-                    .collect();
-                Ok(run_pps_multi_with(
-                    &self.dataset,
-                    tau_star,
-                    &combos,
-                    &plan,
-                    |_worker| move |t, _seeds: &SeedAssignment| samples[t as usize].as_slice(),
-                ))
-            }
-        }
+        let combos: Vec<_> = resolved.iter().map(|(set, stat)| (set, stat)).collect();
+        Ok(replay_samples(
+            &self.dataset,
+            self.scheme,
+            &combos,
+            &plan,
+            &self.samples,
+        )?)
     }
 
     /// Persists the entry as one versioned, checksummed snapshot file.
@@ -698,7 +628,7 @@ impl Decode for CatalogEntry {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{Pipeline, StreamPipeline};
+    use crate::Pipeline;
     use pie_core::suite::max_oblivious_suite;
     use pie_datagen::{
         generate_set_pair, generate_two_hours, paper_example, SetPairConfig, TrafficConfig,
@@ -721,7 +651,7 @@ mod tests {
             .estimate_named("max_weighted", "max_dominance", Some(1))
             .unwrap();
         assert_eq!(got, expected);
-        let streamed = StreamPipeline::new()
+        let sharded = Pipeline::new()
             .dataset(Arc::clone(&data))
             .scheme(Scheme::pps(150.0))
             .shards(3)
@@ -731,7 +661,7 @@ mod tests {
             .base_salt(4)
             .run()
             .unwrap();
-        assert_eq!(got, streamed);
+        assert_eq!(got, sharded);
     }
 
     #[test]

@@ -1,24 +1,24 @@
-//! Checkpoint/restore and cross-process sharded merge for
-//! [`StreamPipeline`] runs, built on the `pie-store` snapshot codec.
+//! Checkpoint/restore and cross-process sharded merge for [`Pipeline`]
+//! runs, built on the `pie-store` snapshot codec.
 //!
 //! PR 2/PR 3 made sampling outcomes mergeable and deterministic *within* a
 //! process; this module extends both guarantees across the serialization
 //! boundary:
 //!
-//! * **Checkpoint / resume** — [`StreamPipeline::ingest_session`] opens an
+//! * **Checkpoint / resume** — [`Pipeline::ingest_session`] opens an
 //!   incremental [`StreamIngestSession`] that replays the record stream in a
 //!   canonical order and can [`checkpoint`](StreamIngestSession::checkpoint)
 //!   its per-`(instance, shard)` sketch state (one snapshot file per part,
 //!   plus a [`SnapshotManifest`] recording the format version, scheme, seed
 //!   state, and record watermark) at any point.  A fresh process configures
-//!   an identical pipeline and calls [`StreamPipeline::resume`]; after the
+//!   an identical pipeline and calls [`Pipeline::resume`]; after the
 //!   remaining records are ingested, [`StreamIngestSession::finish`]
 //!   produces a report **bit-identical** to the uninterrupted
-//!   [`StreamPipeline::run`].
+//!   [`Pipeline::run`].
 //! * **Cross-process sharded merge** — independent processes each own one
-//!   key-partitioned shard: [`StreamPipeline::write_shard_snapshots`]
+//!   key-partitioned shard: [`Pipeline::write_shard_snapshots`]
 //!   ingests only that shard's records and writes its sketch snapshots; a
-//!   coordinating process calls [`StreamPipeline::run_from_shard_snapshots`]
+//!   coordinating process calls [`Pipeline::run_from_shard_snapshots`]
 //!   to load every shard's files, feed them through the same binary merge
 //!   tree as in-process ingestion ([`merge_finalize`]), and estimate —
 //!   again bit-identical to the single-process run.
@@ -28,13 +28,13 @@
 //! statistical property depends on *where* a sketch was built.
 //!
 //! ```
-//! use partial_info_estimators::{Scheme, Statistic, StreamPipeline};
+//! use partial_info_estimators::{Pipeline, Scheme, Statistic};
 //! use partial_info_estimators::core::suite::max_weighted_suite;
 //! use partial_info_estimators::datagen::{generate_two_hours, TrafficConfig};
 //! use std::sync::Arc;
 //!
 //! let data = Arc::new(generate_two_hours(&TrafficConfig::small(3)));
-//! let configure = || StreamPipeline::new()
+//! let configure = || Pipeline::new()
 //!     .dataset(Arc::clone(&data))
 //!     .scheme(Scheme::pps(200.0))
 //!     .shards(2)
@@ -65,20 +65,16 @@ use std::fmt;
 use std::fs::File;
 use std::io::{BufReader, BufWriter, Read, Write};
 use std::path::Path;
-use std::sync::Arc;
 
-use pie_datagen::{Dataset, ShardedStream};
+use pie_datagen::ShardedStream;
 use pie_sampling::{
     InstanceSample, Key, ObliviousPoissonSampler, PpsPoissonSampler, SamplingScheme,
     SeedAssignment, Sketch,
 };
 use pie_store::{Decode, Encode, SnapshotReader, SnapshotWriter, StoreError};
 
-use crate::pipeline::{
-    run_oblivious_with, run_pps_with, validate_scheme, EstimatorSet, PipelineError, PipelineReport,
-    Scheme, Statistic, TrialPlan,
-};
-use crate::stream::{merge_finalize, StreamPipeline};
+use crate::pipeline::{Pipeline, PipelineConfig, PipelineError, PipelineReport, Scheme};
+use crate::stream::{merge_finalize, sketch_pools};
 
 /// The checkpoint manifest's file name inside a snapshot directory.
 pub const MANIFEST_FILE: &str = "manifest.pies";
@@ -266,7 +262,7 @@ impl SnapshotManifest {
     /// that disagrees.
     fn check_against(
         &self,
-        config: &ValidatedConfig,
+        config: &PipelineConfig,
         stream: &ShardedStream,
     ) -> Result<(), StoreError> {
         let mismatch = |field: &'static str, expected: String, found: String| {
@@ -314,20 +310,7 @@ impl SnapshotManifest {
     }
 }
 
-/// A [`StreamPipeline`] whose stages have all been supplied and validated,
-/// destructured into owned parts the session can hold on to.
-struct ValidatedConfig {
-    dataset: Arc<Dataset>,
-    scheme: Scheme,
-    shards: usize,
-    estimators: EstimatorSet,
-    statistic: Statistic,
-    trials: u64,
-    base_salt: u64,
-    threads: Option<usize>,
-}
-
-impl ValidatedConfig {
+impl PipelineConfig {
     fn manifest(&self, kind: SnapshotKind, stream: &ShardedStream) -> SnapshotManifest {
         SnapshotManifest {
             kind,
@@ -339,55 +322,6 @@ impl ValidatedConfig {
             num_records: stream.num_records() as u64,
         }
     }
-}
-
-/// Validates a builder's stages (same rules as [`StreamPipeline::run`]) and
-/// partitions the record stream.
-fn validate_pipeline(
-    pipeline: StreamPipeline,
-) -> Result<(ValidatedConfig, ShardedStream), PipelineError> {
-    let dataset = pipeline.dataset.ok_or(PipelineError::MissingDataset)?;
-    let scheme = pipeline.scheme.ok_or(PipelineError::MissingScheme)?;
-    let estimators = pipeline
-        .estimators
-        .ok_or(PipelineError::MissingEstimators)?;
-    let statistic = pipeline.statistic.ok_or(PipelineError::MissingStatistic)?;
-    if estimators.len() == 0 {
-        return Err(PipelineError::MissingEstimators);
-    }
-    validate_scheme(scheme)?;
-    match (scheme, &estimators) {
-        (Scheme::ObliviousPoisson { .. }, EstimatorSet::Oblivious(_))
-        | (Scheme::PpsPoisson { .. }, EstimatorSet::Weighted(_)) => {}
-        (scheme, estimators) => {
-            return Err(PipelineError::RegimeMismatch {
-                scheme: format!("{scheme:?}"),
-                estimators: match estimators {
-                    EstimatorSet::Oblivious(_) => "weight-oblivious",
-                    EstimatorSet::Weighted(_) => "weighted",
-                },
-            })
-        }
-    }
-    let stream = match scheme {
-        // Weight-oblivious sampling runs over the key universe (zero-valued
-        // keys participate); weighted schemes over the explicit records.
-        Scheme::ObliviousPoisson { .. } => ShardedStream::over_universe(&dataset, pipeline.shards),
-        Scheme::PpsPoisson { .. } => ShardedStream::from_dataset(&dataset, pipeline.shards),
-    };
-    Ok((
-        ValidatedConfig {
-            dataset,
-            scheme,
-            shards: pipeline.shards,
-            estimators,
-            statistic,
-            trials: pipeline.trials,
-            base_salt: pipeline.base_salt,
-            threads: pipeline.threads,
-        },
-        stream,
-    ))
 }
 
 /// One sketch per `(trial, shard, instance)`, laid out `[trial][shard]
@@ -416,6 +350,15 @@ impl TrialSketches {
             }
         }
     }
+
+    /// Merges and finalizes each trial's sketches into its per-instance
+    /// samples.
+    fn into_samples(self) -> Vec<Vec<InstanceSample>> {
+        match self {
+            Self::Oblivious(pools) => samples_per_trial(pools),
+            Self::Pps(pools) => samples_per_trial(pools),
+        }
+    }
 }
 
 /// Opens one sketch per `(trial, shard, instance)`; trial `t` draws its
@@ -429,13 +372,7 @@ fn new_trial_pools<S: SamplingScheme>(
     (0..trials)
         .map(|t| {
             let seeds = SeedAssignment::independent_known(base_salt.wrapping_add(t));
-            (0..stream.shards())
-                .map(|s| {
-                    (0..stream.num_instances())
-                        .map(|i| scheme.sketch_for_shard(&seeds, i as u64, s as u64))
-                        .collect()
-                })
-                .collect()
+            sketch_pools(scheme, stream, &seeds)
         })
         .collect()
 }
@@ -570,57 +507,19 @@ fn samples_per_trial<K: Sketch>(mut pools: Vec<Vec<Vec<K>>>) -> Vec<Vec<Instance
         .collect()
 }
 
-/// Runs the shared estimation stage over precomputed per-trial samples —
-/// the same cores (and the same parallel trial engine) the live pipelines
-/// use, so downstream numbers cannot drift between the paths.
-fn estimate_from_samples(
-    config: ValidatedConfig,
-    samples: Vec<Vec<InstanceSample>>,
-) -> Result<PipelineReport, CheckpointError> {
-    let plan = TrialPlan::new(config.trials, config.base_salt, config.threads);
-    let samples = &samples;
-    match (config.scheme, config.estimators) {
-        (Scheme::ObliviousPoisson { .. }, EstimatorSet::Oblivious(registry)) => {
-            Ok(run_oblivious_with(
-                &config.dataset,
-                &registry,
-                &config.statistic,
-                &plan,
-                |_worker| move |t, _seeds: &SeedAssignment| samples[t as usize].as_slice(),
-            ))
-        }
-        (Scheme::PpsPoisson { tau_star }, EstimatorSet::Weighted(registry)) => Ok(run_pps_with(
-            &config.dataset,
-            tau_star,
-            &registry,
-            &config.statistic,
-            &plan,
-            |_worker| move |t, _seeds: &SeedAssignment| samples[t as usize].as_slice(),
-        )),
-        // validate_pipeline rejected mismatched regimes already.
-        (scheme, estimators) => Err(CheckpointError::Pipeline(PipelineError::RegimeMismatch {
-            scheme: format!("{scheme:?}"),
-            estimators: match estimators {
-                EstimatorSet::Oblivious(_) => "weight-oblivious",
-                EstimatorSet::Weighted(_) => "weighted",
-            },
-        })),
-    }
-}
-
-/// An incremental, checkpointable ingest pass over a [`StreamPipeline`]'s
-/// record stream.
+/// An incremental, checkpointable ingest pass over a [`Pipeline`]'s record
+/// stream.
 ///
 /// The session replays records in a canonical order — instance-major, then
 /// shard-major, then each part's key-ascending record order — so a single
 /// `watermark` (count of records ingested) fully describes the resume
 /// position.  Each record is routed into one sketch per Monte-Carlo trial;
 /// per-`(instance, shard)` sketch sequences are identical to what
-/// [`StreamPipeline::run`] feeds its pooled sketches, which is why
+/// [`Pipeline::run`] feeds its pooled sketches, which is why
 /// [`finish`](Self::finish) reproduces the live report bit for bit.
 #[must_use = "an ingest session does nothing until records are ingested"]
 pub struct StreamIngestSession {
-    config: ValidatedConfig,
+    config: PipelineConfig,
     stream: ShardedStream,
     sketches: TrialSketches,
     watermark: u64,
@@ -739,7 +638,7 @@ impl StreamIngestSession {
 
     /// Merges each trial's shard sketches, finalizes the per-instance
     /// samples, and runs the shared estimation stage — producing a report
-    /// bit-identical to [`StreamPipeline::run`] on the same configuration.
+    /// bit-identical to [`Pipeline::run`] on the same configuration.
     ///
     /// # Errors
     /// [`CheckpointError::Incomplete`] if records remain; estimation itself
@@ -751,11 +650,7 @@ impl StreamIngestSession {
                 total: self.total,
             });
         }
-        let samples = match self.sketches {
-            TrialSketches::Oblivious(pools) => samples_per_trial(pools),
-            TrialSketches::Pps(pools) => samples_per_trial(pools),
-        };
-        estimate_from_samples(self.config, samples)
+        Ok(self.config.replay(&self.sketches.into_samples())?)
     }
 
     /// Merges and finalizes the per-trial samples into a servable
@@ -773,22 +668,18 @@ impl StreamIngestSession {
                 total: self.total,
             });
         }
-        let samples = match self.sketches {
-            TrialSketches::Oblivious(pools) => samples_per_trial(pools),
-            TrialSketches::Pps(pools) => samples_per_trial(pools),
-        };
         Ok(crate::CatalogEntry::from_parts(
             self.config.dataset,
             self.config.scheme,
             self.config.shards,
             self.config.trials,
             self.config.base_salt,
-            samples,
+            self.sketches.into_samples(),
         ))
     }
 }
 
-impl StreamPipeline {
+impl Pipeline {
     /// Opens an incremental, checkpointable ingest session over this
     /// pipeline's record stream (all stages must be configured, exactly as
     /// for [`run`](Self::run)).
@@ -797,7 +688,8 @@ impl StreamPipeline {
     /// Returns a [`PipelineError`] (wrapped) if a stage is missing, a scheme
     /// parameter is out of range, or the estimator regime does not match.
     pub fn ingest_session(self) -> Result<StreamIngestSession, CheckpointError> {
-        let (config, stream) = validate_pipeline(self)?;
+        let config = self.validate()?;
+        let stream = config.record_stream();
         let sketches = match config.scheme {
             Scheme::ObliviousPoisson { p } => TrialSketches::Oblivious(new_trial_pools(
                 &ObliviousPoissonSampler::new(p),
@@ -834,7 +726,8 @@ impl StreamPipeline {
     /// Configuration, manifest, and snapshot-file failures.
     pub fn resume(self, dir: impl AsRef<Path>) -> Result<StreamIngestSession, CheckpointError> {
         let dir = dir.as_ref();
-        let (config, stream) = validate_pipeline(self)?;
+        let config = self.validate()?;
+        let stream = config.record_stream();
         let manifest: SnapshotManifest = pie_store::read_snapshot_file(dir.join(MANIFEST_FILE))?;
         manifest.check_against(&config, &stream)?;
         let watermark = match manifest.kind {
@@ -895,7 +788,8 @@ impl StreamPipeline {
         dir: impl AsRef<Path>,
     ) -> Result<(), CheckpointError> {
         let dir = dir.as_ref();
-        let (config, stream) = validate_pipeline(self)?;
+        let config = self.validate()?;
+        let stream = config.record_stream();
         if shard >= config.shards {
             return Err(CheckpointError::ShardOutOfRange {
                 shard,
@@ -910,7 +804,7 @@ impl StreamPipeline {
             sampler: &S,
             dir: &Path,
             stream: &ShardedStream,
-            config: &ValidatedConfig,
+            config: &PipelineConfig,
             shard: usize,
         ) -> Result<(), StoreError>
         where
@@ -983,7 +877,8 @@ impl StreamPipeline {
         dir: impl AsRef<Path>,
     ) -> Result<PipelineReport, CheckpointError> {
         let dir = dir.as_ref();
-        let (config, stream) = validate_pipeline(self)?;
+        let config = self.validate()?;
+        let stream = config.record_stream();
         for s in 0..config.shards {
             let manifest: SnapshotManifest =
                 pie_store::read_snapshot_file(dir.join(shard_manifest_name(s)))?;
@@ -997,25 +892,17 @@ impl StreamPipeline {
                 .into());
             }
         }
-        let samples = match config.scheme {
+        let sketches = match config.scheme {
             Scheme::ObliviousPoisson { .. } => {
-                samples_per_trial(load_trial_pools::<pie_sampling::ObliviousPoissonSketch>(
-                    dir,
-                    &stream,
-                    config.trials,
-                    |s| s as u64,
-                )?)
+                TrialSketches::Oblivious(load_trial_pools(dir, &stream, config.trials, |s| {
+                    s as u64
+                })?)
             }
             Scheme::PpsPoisson { .. } => {
-                samples_per_trial(load_trial_pools::<pie_sampling::PpsPoissonSketch>(
-                    dir,
-                    &stream,
-                    config.trials,
-                    |s| s as u64,
-                )?)
+                TrialSketches::Pps(load_trial_pools(dir, &stream, config.trials, |s| s as u64)?)
             }
         };
-        estimate_from_samples(config, samples)
+        Ok(config.replay(&sketches.into_samples())?)
     }
 }
 
@@ -1024,9 +911,10 @@ mod tests {
     use super::*;
     use crate::Statistic;
     use pie_core::suite::{max_oblivious_suite, max_weighted_suite};
-    use pie_datagen::{generate_two_hours, paper_example, TrafficConfig};
+    use pie_datagen::{generate_two_hours, paper_example, Dataset, TrafficConfig};
     use std::path::PathBuf;
     use std::sync::atomic::{AtomicU64, Ordering};
+    use std::sync::Arc;
 
     /// A unique, auto-created temp directory per test call site.
     fn temp_dir(tag: &str) -> PathBuf {
@@ -1038,8 +926,8 @@ mod tests {
         dir
     }
 
-    fn pps_pipeline(data: &Arc<Dataset>, shards: usize) -> StreamPipeline {
-        StreamPipeline::new()
+    fn pps_pipeline(data: &Arc<Dataset>, shards: usize) -> Pipeline {
+        Pipeline::new()
             .dataset(Arc::clone(data))
             .scheme(Scheme::pps(150.0))
             .shards(shards)
@@ -1049,8 +937,8 @@ mod tests {
             .base_salt(5)
     }
 
-    fn oblivious_pipeline(data: &Arc<Dataset>, shards: usize) -> StreamPipeline {
-        StreamPipeline::new()
+    fn oblivious_pipeline(data: &Arc<Dataset>, shards: usize) -> Pipeline {
+        Pipeline::new()
             .dataset(Arc::clone(data))
             .scheme(Scheme::oblivious(0.5))
             .shards(shards)

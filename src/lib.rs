@@ -22,7 +22,7 @@
 //! * [`analysis`] (`pie-analysis`) — Monte-Carlo and quadrature evaluation,
 //!   statistics, and report formatting.
 //!
-//! # Streaming ingestion, batch-first estimation
+//! # One pipeline: sketch ingest, lane-kernel estimation
 //!
 //! The API is shaped around the production regime — keyed record streams of
 //! millions of keys — rather than materialized instances and one outcome at
@@ -30,21 +30,22 @@
 //!
 //! * sampling runs through the unified [`sampling::SamplingScheme`] /
 //!   [`sampling::Sketch`] streaming API (`ingest` → `merge` → `finalize`);
-//!   the sharded [`StreamPipeline`] front-end ingests N key-partitioned
-//!   shards concurrently and merges them, bit-identically to single-stream
-//!   sampling for the hash-seeded schemes;
+//!   every [`Pipeline`] trial ingests N key-partitioned shards per instance
+//!   ([`Pipeline::shards`]) and merges them ([`stream`]), bit-identically to
+//!   single-stream sampling for the hash-seeded schemes;
 //! * outcomes are read through the borrowed, allocation-free
 //!   [`sampling::OutcomeView`] accessors;
-//! * estimators run over slices of outcomes via the object-safe
-//!   [`core::Estimator::estimate_batch`] hot path and are enumerated
-//!   dynamically through [`core::EstimatorRegistry`] (prebuilt line-ups in
-//!   [`core::suite`]);
+//! * estimators are enumerated dynamically through
+//!   [`core::EstimatorRegistry`] (prebuilt line-ups in [`core::suite`]) and
+//!   run over struct-of-arrays outcome lanes via the vectorized
+//!   [`core::Estimator::estimate_lanes`] hot path, with the scalar
+//!   [`core::Estimator::estimate`] as its bitwise reference;
 //! * Monte-Carlo trial loops run on the parallel deterministic trial engine
 //!   ([`TrialRunner`]): trials are chunked across OS threads
 //!   (`PIE_THREADS` / [`Pipeline::threads`]) and reduced in a canonical
 //!   order with mergeable statistics, so every report is **bit-identical at
 //!   any thread count**;
-//! * sketch state survives the process: [`StreamPipeline`] ingest sessions
+//! * sketch state survives the process: [`Pipeline`] ingest sessions
 //!   checkpoint to — and resume from — versioned binary snapshot files
 //!   ([`checkpoint`]), and shard snapshots written by independent processes
 //!   merge into reports bit-identical to a single-process run;
@@ -53,8 +54,8 @@
 //!   queries with per-query estimator and statistic choice — the substrate
 //!   behind the `pie-serve` TCP service, whose responses are bit-identical
 //!   to in-process estimation;
-//! * the top-level [`Pipeline`] builder wires dataset → sampling → outcome
-//!   assembly → batched estimation → sum aggregation end to end:
+//! * the [`Pipeline`] builder wires dataset → sketch ingest → outcome
+//!   lanes → batched estimation → sum aggregation end to end:
 //!
 //! ```
 //! use partial_info_estimators::{Pipeline, Scheme, Statistic};

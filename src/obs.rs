@@ -1,7 +1,7 @@
 //! Observation hooks for the estimation pipelines: per-stage wall-clock
 //! attribution for the two heavy phases of a query — **trial replay**
 //! (seed derivation, sampling or sample replay, outcome assembly) and the
-//! **estimator batch** (the per-registry `estimate_batch` sweeps plus
+//! **estimator batch** (the per-registry `estimate_lanes` sweeps plus
 //! accumulation) — and an optional per-chunk timing hook forwarded to the
 //! trial engine's [`Recorder`](pie_analysis::Recorder).
 //!

@@ -1,20 +1,24 @@
-//! The end-to-end estimation pipeline: dataset → sampling → outcome
-//! assembly → batched estimation → sum aggregation.
+//! The end-to-end estimation pipeline: record stream → sketch ingest →
+//! outcome assembly → batched estimation → sum aggregation.
 //!
-//! [`Pipeline`] is the one-stop builder that replaces the hand-rolled loops
-//! previously copied across examples, benches, and figure harnesses.  It
-//! wires the workspace crates together:
+//! [`Pipeline`] is the one estimation builder.  It wires the workspace
+//! crates together:
 //!
-//! 1. a [`Dataset`] (from `pie-datagen` or your own instances),
-//! 2. a sampling [`Scheme`] applied independently per instance
-//!    (`pie-sampling`),
+//! 1. a [`Dataset`] (from `pie-datagen` or your own instances), replayed as
+//!    one keyed record stream per instance,
+//! 2. a sampling [`Scheme`] applied independently per instance: each trial
+//!    ingests every instance's records into pooled per-shard sketches,
+//!    merges them and finalizes one sample per instance ([`crate::stream`];
+//!    shard count via [`Pipeline::shards`] — reports are bit-identical at
+//!    any shard count),
 //! 3. per-trial outcome assembly into reusable struct-of-arrays **lanes**
 //!    ([`ObliviousLanes`]/[`WeightedLanes`]): each per-instance field becomes
 //!    one contiguous `f64` slice, built once per trial straight from the
 //!    samples and shared by every registered estimator, so the hot loop
 //!    performs **no per-outcome heap allocation** after warm-up,
 //! 4. a registry of estimators run over the shared lanes through the
-//!    vectorized hot path ([`Estimator::estimate_lanes`]),
+//!    vectorized hot path
+//!    ([`Estimator::estimate_lanes`](pie_core::Estimator::estimate_lanes)),
 //! 5. the sum aggregate over selected keys, repeated over Monte-Carlo trials
 //!    on the parallel deterministic trial engine ([`TrialRunner`], thread
 //!    count via [`Pipeline::threads`] or `PIE_THREADS` — reports are
@@ -29,6 +33,7 @@
 //! let report = Pipeline::new()
 //!     .dataset(generate_two_hours(&TrafficConfig::small(3)))
 //!     .scheme(Scheme::pps(200.0))
+//!     .shards(2)
 //!     .estimators(max_weighted_suite())
 //!     .statistic(Statistic::max_dominance())
 //!     .trials(40)
@@ -44,12 +49,13 @@ use std::sync::Arc;
 
 use pie_analysis::{Evaluation, RunningStats, Table, TrialRunner};
 use pie_core::{functions, EstimatorRegistry};
-use pie_datagen::Dataset;
+use pie_datagen::{Dataset, ShardedStream};
 use pie_sampling::{
-    sample_all, sample_all_with_universe, sampled_key_union, InstanceSample, ObliviousLanes,
-    ObliviousOutcome, ObliviousPoissonSampler, PpsPoissonSampler, SeedAssignment, WeightedLanes,
-    WeightedOutcome,
+    sampled_key_union, InstanceSample, ObliviousLanes, ObliviousOutcome, SeedAssignment,
+    WeightedLanes, WeightedOutcome,
 };
+
+use crate::stream::SchemePools;
 
 /// How each instance is sampled, independently of the others.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -385,13 +391,15 @@ impl PipelineReport {
     }
 }
 
-/// Builder wiring datagen → sampling → outcome assembly → batched estimation
-/// → sum aggregation.  See the [module docs](self) for the full walkthrough.
+/// Builder wiring record stream → sharded sketch ingest → merge tree →
+/// batched estimation → sum aggregation.  See the [module docs](self) for
+/// the full walkthrough.
 #[derive(Debug)]
 #[must_use = "a pipeline does nothing until .run()"]
 pub struct Pipeline {
     dataset: Option<Arc<Dataset>>,
     scheme: Option<Scheme>,
+    shards: usize,
     estimators: Option<EstimatorSet>,
     statistic: Option<Statistic>,
     trials: u64,
@@ -400,7 +408,7 @@ pub struct Pipeline {
 }
 
 impl Default for Pipeline {
-    /// Same as [`Pipeline::new`]: empty stages, 100 trials, salt 0.
+    /// Same as [`Pipeline::new`]: empty stages, 1 shard, 100 trials, salt 0.
     fn default() -> Self {
         Self::new()
     }
@@ -416,11 +424,12 @@ impl fmt::Debug for EstimatorSet {
 }
 
 impl Pipeline {
-    /// Starts an empty pipeline (100 trials, salt 0 by default).
+    /// Starts an empty pipeline (1 shard, 100 trials, salt 0 by default).
     pub fn new() -> Self {
         Self {
             dataset: None,
             scheme: None,
+            shards: 1,
             estimators: None,
             statistic: None,
             trials: 100,
@@ -429,7 +438,7 @@ impl Pipeline {
         }
     }
 
-    /// Sets the dataset to sample and estimate over.
+    /// Sets the dataset whose record stream is sampled.
     ///
     /// Accepts either an owned [`Dataset`] or an `Arc<Dataset>`; pass a
     /// shared `Arc` when running several pipelines over the same data (e.g.
@@ -442,6 +451,14 @@ impl Pipeline {
     /// Sets the per-instance sampling scheme.
     pub fn scheme(mut self, scheme: Scheme) -> Self {
         self.scheme = Some(scheme);
+        self
+    }
+
+    /// Sets the number of ingest shards per instance (default 1; values
+    /// below 1 are clamped to 1).  Sharding is an execution strategy, never
+    /// a statistical one: reports are bit-identical at any shard count.
+    pub fn shards(mut self, shards: usize) -> Self {
+        self.shards = shards.max(1);
         self
     }
 
@@ -478,16 +495,20 @@ impl Pipeline {
     /// back to the machine's available parallelism.  Thread count **never
     /// changes the report**: trials are partitioned into fixed chunks and
     /// reduced in a canonical order (see [`TrialRunner`]), so any thread
-    /// count reproduces the sequential output bit for bit.
+    /// count reproduces the sequential output bit for bit.  Trial workers
+    /// are orthogonal to [`shards`](Self::shards): each worker owns a full
+    /// set of per-`(instance, shard)` sketch pools and replays whole trials.
     pub fn threads(mut self, threads: usize) -> Self {
         self.threads = Some(threads.max(1));
         self
     }
 
-    /// Runs the pipeline: samples every instance `trials` times, assembles
-    /// per-key outcomes into reusable buffers, pushes them through each
-    /// estimator's batched hot path, and summarizes the per-trial sum
-    /// aggregates against the exact truth.
+    /// Runs the pipeline: partitions each instance's record stream across
+    /// the configured shards once, then per trial ingests every `(instance,
+    /// shard)` part into pooled sketches, merges and finalizes them into
+    /// per-instance samples, assembles the per-key outcome lanes, runs each
+    /// estimator's lane kernel, and summarizes the per-trial sum aggregates
+    /// against the exact truth.
     ///
     /// # Estimator requirements
     ///
@@ -502,9 +523,51 @@ impl Pipeline {
     /// requirement.
     ///
     /// # Errors
-    /// Returns a [`PipelineError`] if a stage is missing or the estimator
-    /// regime does not match the scheme.
+    /// Returns a [`PipelineError`] if a stage is missing, a scheme parameter
+    /// is out of range, or the estimator regime does not match the scheme.
     pub fn run(self) -> Result<PipelineReport, PipelineError> {
+        let config = self.validate()?;
+        let stream = config.record_stream();
+        let stream = &stream;
+        let seeds0 = SeedAssignment::independent_known(config.base_salt);
+        run_multi_with(
+            &config.dataset,
+            config.scheme,
+            &[(&config.estimators, &config.statistic)],
+            &config.plan(),
+            |_worker| {
+                // Each trial worker owns one full sketch-pool set; sketches
+                // reset to the trial's seeds before ingest, so any worker
+                // replays any trial identically.
+                let mut pools = SchemePools::new(config.scheme, stream, &seeds0);
+                move |_t, seeds: &SeedAssignment| pools.ingest_merge_finalize(stream, seeds)
+            },
+        )
+        .map(only_report)
+    }
+
+    /// Samples the configured dataset and finalizes the per-trial samples
+    /// into a servable [`CatalogEntry`](crate::CatalogEntry) instead of
+    /// estimating — the export hook behind `pie-serve`'s sketch catalog.
+    ///
+    /// Only the dataset, scheme, shards, trials, and base salt are
+    /// consulted: estimator and statistic choice is deferred to each query
+    /// against the entry (that deferral is the point of serving).
+    ///
+    /// # Errors
+    /// [`PipelineError::MissingDataset`] / [`PipelineError::MissingScheme`]
+    /// / [`PipelineError::InvalidScheme`].
+    pub fn into_catalog_entry(self) -> Result<crate::CatalogEntry, PipelineError> {
+        let dataset = self.dataset.ok_or(PipelineError::MissingDataset)?;
+        let scheme = self.scheme.ok_or(PipelineError::MissingScheme)?;
+        crate::CatalogEntry::build(dataset, scheme, self.shards, self.trials, self.base_salt)
+    }
+
+    /// Checks that every stage is supplied, the scheme's parameters are in
+    /// range and the estimators consume the scheme's outcome regime — the
+    /// one validation behind [`run`](Self::run) and the checkpoint entry
+    /// points.
+    pub(crate) fn validate(self) -> Result<PipelineConfig, PipelineError> {
         let dataset = self.dataset.ok_or(PipelineError::MissingDataset)?;
         let scheme = self.scheme.ok_or(PipelineError::MissingScheme)?;
         let estimators = self.estimators.ok_or(PipelineError::MissingEstimators)?;
@@ -513,55 +576,87 @@ impl Pipeline {
             return Err(PipelineError::MissingEstimators);
         }
         validate_scheme(scheme)?;
-        let plan = TrialPlan::new(self.trials, self.base_salt, self.threads);
-        match (scheme, estimators) {
-            (Scheme::ObliviousPoisson { p }, EstimatorSet::Oblivious(registry)) => {
-                // `Dataset::keys` is already the sorted, deduped union, so
-                // compute the universe once instead of per worker.
-                let universe = dataset.keys();
-                Ok(run_oblivious_with(
-                    &dataset,
-                    &registry,
-                    &statistic,
-                    &plan,
-                    |_worker| {
-                        let sampler = ObliviousPoissonSampler::new(p);
-                        let ds = Arc::clone(&dataset);
-                        let universe = &universe;
-                        move |_t, seeds: &SeedAssignment| {
-                            sample_all_with_universe(&sampler, ds.instances(), universe, seeds)
-                        }
-                    },
-                ))
-            }
-            (Scheme::PpsPoisson { tau_star }, EstimatorSet::Weighted(registry)) => {
-                Ok(run_pps_with(
-                    &dataset,
-                    tau_star,
-                    &registry,
-                    &statistic,
-                    &plan,
-                    |_worker| {
-                        let sampler = PpsPoissonSampler::new(tau_star);
-                        let ds = Arc::clone(&dataset);
-                        move |_t, seeds: &SeedAssignment| {
-                            sample_all(&sampler, ds.instances(), seeds)
-                        }
-                    },
-                ))
-            }
-            (scheme, estimators) => Err(PipelineError::RegimeMismatch {
+        estimators.check_regime(scheme)?;
+        Ok(PipelineConfig {
+            dataset,
+            scheme,
+            shards: self.shards,
+            estimators,
+            statistic,
+            trials: self.trials,
+            base_salt: self.base_salt,
+            threads: self.threads,
+        })
+    }
+}
+
+/// A [`Pipeline`] whose stages have all been supplied and validated,
+/// destructured into owned parts.
+pub(crate) struct PipelineConfig {
+    pub(crate) dataset: Arc<Dataset>,
+    pub(crate) scheme: Scheme,
+    pub(crate) shards: usize,
+    pub(crate) estimators: EstimatorSet,
+    pub(crate) statistic: Statistic,
+    pub(crate) trials: u64,
+    pub(crate) base_salt: u64,
+    pub(crate) threads: Option<usize>,
+}
+
+impl PipelineConfig {
+    /// The configured dataset's record stream, partitioned across the
+    /// configured shards (see [`Scheme::record_stream`]).
+    pub(crate) fn record_stream(&self) -> ShardedStream {
+        self.scheme.record_stream(&self.dataset, self.shards)
+    }
+
+    /// The configured trial count, salt and thread count.
+    fn plan(&self) -> TrialPlan {
+        TrialPlan::new(self.trials, self.base_salt, self.threads)
+    }
+
+    /// Estimates over finalized per-trial samples with [`replay_samples`]
+    /// — the checkpoint and shard-merge paths.
+    pub(crate) fn replay(
+        &self,
+        samples: &[Vec<InstanceSample>],
+    ) -> Result<PipelineReport, PipelineError> {
+        let combo = [(&self.estimators, &self.statistic)];
+        replay_samples(&self.dataset, self.scheme, &combo, &self.plan(), samples).map(only_report)
+    }
+}
+
+impl Scheme {
+    /// The record stream this scheme samples, partitioned across `shards`:
+    /// weight-oblivious sampling runs over the key universe (zero-valued
+    /// keys participate), weighted sampling over the explicit records.
+    pub(crate) fn record_stream(self, dataset: &Dataset, shards: usize) -> ShardedStream {
+        match self {
+            Self::ObliviousPoisson { .. } => ShardedStream::over_universe(dataset, shards),
+            Self::PpsPoisson { .. } => ShardedStream::from_dataset(dataset, shards),
+        }
+    }
+}
+
+impl EstimatorSet {
+    /// Checks that the estimators consume the outcome regime `scheme`
+    /// produces.
+    pub(crate) fn check_regime(&self, scheme: Scheme) -> Result<(), PipelineError> {
+        match (scheme, self) {
+            (Scheme::ObliviousPoisson { .. }, Self::Oblivious(_))
+            | (Scheme::PpsPoisson { .. }, Self::Weighted(_)) => Ok(()),
+            (scheme, set) => Err(PipelineError::RegimeMismatch {
                 scheme: format!("{scheme:?}"),
-                estimators: match estimators {
-                    EstimatorSet::Oblivious(_) => "weight-oblivious",
-                    EstimatorSet::Weighted(_) => "weighted",
+                estimators: match set {
+                    Self::Oblivious(_) => "weight-oblivious",
+                    Self::Weighted(_) => "weighted",
                 },
             }),
         }
     }
 }
 
-/// The Monte-Carlo execution plan shared by both pipeline front-ends: how
+/// The Monte-Carlo execution plan shared by every estimation path: how
 /// many trials, the salt from which trial `t` derives its randomization
 /// (`base_salt + t`), and the engine that runs the loop.
 pub(crate) struct TrialPlan {
@@ -598,8 +693,7 @@ impl TrialPlan {
     }
 }
 
-/// Validates the scheme's parameters (shared by [`Pipeline`] and
-/// [`StreamPipeline`](crate::StreamPipeline)).
+/// Validates the scheme's parameters.
 pub(crate) fn validate_scheme(scheme: Scheme) -> Result<(), PipelineError> {
     match scheme {
         Scheme::ObliviousPoisson { p } if !(p > 0.0 && p <= 1.0) => {
@@ -616,6 +710,71 @@ pub(crate) fn validate_scheme(scheme: Scheme) -> Result<(), PipelineError> {
         }
         _ => Ok(()),
     }
+}
+
+/// The report of a one-combination estimation call.
+pub(crate) fn only_report(mut reports: Vec<PipelineReport>) -> PipelineReport {
+    reports.pop().expect("one combination in, one report out")
+}
+
+/// Answers every `(registry, statistic)` combination with [`run_multi_with`]
+/// over finalized per-trial samples (`samples[t]` is trial `t`'s) — the
+/// catalog, checkpoint and shard-merge paths.  Each trial borrows its
+/// samples, so a replay costs no per-trial deep copy.
+///
+/// # Errors
+/// As [`run_multi_with`].
+pub(crate) fn replay_samples(
+    dataset: &Dataset,
+    scheme: Scheme,
+    combos: &[(&EstimatorSet, &Statistic)],
+    plan: &TrialPlan,
+    samples: &[Vec<InstanceSample>],
+) -> Result<Vec<PipelineReport>, PipelineError> {
+    run_multi_with(dataset, scheme, combos, plan, |_worker| {
+        move |t, _seeds: &SeedAssignment| samples[t as usize].as_slice()
+    })
+}
+
+/// Dispatches `(registry, statistic)` combinations to the estimation core
+/// of `scheme`'s outcome regime ([`run_oblivious_multi_with`] or
+/// [`run_pps_multi_with`]), answering all of them from one replay of the
+/// trial loop.
+///
+/// # Errors
+/// [`PipelineError::RegimeMismatch`] if any registry consumes a different
+/// regime than `scheme` produces; no trial runs in that case.
+pub(crate) fn run_multi_with<R, G, F>(
+    dataset: &Dataset,
+    scheme: Scheme,
+    combos: &[(&EstimatorSet, &Statistic)],
+    plan: &TrialPlan,
+    make_sampler: F,
+) -> Result<Vec<PipelineReport>, PipelineError>
+where
+    F: Fn(usize) -> G + Sync,
+    G: FnMut(u64, &SeedAssignment) -> R + Send,
+    R: AsRef<[InstanceSample]>,
+{
+    // After the regime check every combination lands in the vector of the
+    // scheme's regime, and the other stays empty.
+    let mut oblivious = Vec::new();
+    let mut weighted = Vec::new();
+    for &(set, statistic) in combos {
+        set.check_regime(scheme)?;
+        match set {
+            EstimatorSet::Oblivious(registry) => oblivious.push((registry, statistic)),
+            EstimatorSet::Weighted(registry) => weighted.push((registry, statistic)),
+        }
+    }
+    Ok(match scheme {
+        Scheme::ObliviousPoisson { .. } => {
+            run_oblivious_multi_with(dataset, &oblivious, plan, make_sampler)
+        }
+        Scheme::PpsPoisson { tau_star } => {
+            run_pps_multi_with(dataset, tau_star, &weighted, plan, make_sampler)
+        }
+    })
 }
 
 /// Exact ground truth of the aggregate: `Σ_key statistic(v(key))`.
@@ -658,43 +817,26 @@ struct ObliviousWorker<G> {
 
 /// The oblivious-regime estimation core: runs `trials` Monte-Carlo trials on
 /// the parallel trial engine, obtaining each trial's per-instance samples
-/// from a worker's sampling closure (batch samplers, sharded streaming
-/// ingest, …) and pushing them through the pooled outcome buffers and the
-/// batched estimator hot path.
+/// from a worker's sampling closure (live sketch ingest, or replay of
+/// finalized samples) and pushing them through the pooled outcome lanes and
+/// each estimator's lane kernel.
 ///
 /// `make_sampler(worker)` builds one worker thread's sampling closure
-/// (cloned samplers, per-worker sketch pools, …).  Each closure must be a
-/// pure function of `(trial, seeds)` — per-trial samples may not depend on
-/// which worker draws them — which is what makes the report bit-identical
-/// at every thread count.  The closure may return owned samples (live
-/// sampling) or borrow precomputed ones (`&[InstanceSample]`, the
-/// catalog/checkpoint replay paths) — anything `AsRef<[InstanceSample]>` —
-/// so replaying finalized samples costs no per-trial deep copy.
-pub(crate) fn run_oblivious_with<R, G, F>(
-    dataset: &Dataset,
-    registry: &EstimatorRegistry<ObliviousOutcome>,
-    statistic: &Statistic,
-    plan: &TrialPlan,
-    make_sampler: F,
-) -> PipelineReport
-where
-    F: Fn(usize) -> G + Sync,
-    G: FnMut(u64, &SeedAssignment) -> R + Send,
-    R: AsRef<[InstanceSample]>,
-{
-    run_oblivious_multi_with(dataset, &[(registry, statistic)], plan, make_sampler)
-        .pop()
-        .expect("one combination in, one report out")
-}
-
-/// Multi-query variant of [`run_oblivious_with`]: answers every
-/// `(registry, statistic)` combination from **one** replay of the trial
-/// loop.  Per trial, the samples are drawn once and the per-key outcomes
-/// are assembled once (the expensive part — it scales with the key
-/// universe); each combination then only pays its own `estimate_batch` and
-/// accumulation.  Every float operation a combination sees is the same it
-/// would see running alone, so each returned report is **bit-identical** to
-/// the corresponding single-combination [`run_oblivious_with`] call.
+/// (per-worker sketch pools, …).  Each closure must be a pure function of
+/// `(trial, seeds)` — per-trial samples may not depend on which worker
+/// draws them — which is what makes the report bit-identical at every
+/// thread count.  The closure may return owned samples (live sampling) or
+/// borrow precomputed ones (`&[InstanceSample]`, the catalog/checkpoint
+/// replay paths) — anything `AsRef<[InstanceSample]>` — so replaying
+/// finalized samples costs no per-trial deep copy.
+///
+/// Every `(registry, statistic)` combination is answered from **one**
+/// replay of the trial loop.  Per trial, the samples are drawn once and
+/// the per-key lanes are filled once (the expensive part — it scales with
+/// the key universe); each combination then only pays its own
+/// `estimate_lanes` sweeps and accumulation.  Every float operation a
+/// combination sees is the same it would see running alone, so each
+/// returned report is **bit-identical** to a one-combination call.
 pub(crate) fn run_oblivious_multi_with<R, G, F>(
     dataset: &Dataset,
     combos: &[(&EstimatorRegistry<ObliviousOutcome>, &Statistic)],
@@ -711,7 +853,7 @@ where
         .map(|(_, statistic)| exact_truth(dataset, statistic))
         .collect();
     // `keys` is the sorted, deduped union of all instances' keys: the same
-    // universe the sampling stage (batch or streaming) covers.
+    // universe the oblivious record stream covers.
     let keys = dataset.keys();
     let keys = &keys;
     let base_salt = plan.base_salt;
@@ -779,36 +921,10 @@ struct WeightedWorker<G> {
 }
 
 /// The weighted (PPS, known seeds) estimation core; see
-/// [`run_oblivious_with`] for the trial structure and determinism contract.
-pub(crate) fn run_pps_with<R, G, F>(
-    dataset: &Dataset,
-    tau_star: f64,
-    registry: &EstimatorRegistry<WeightedOutcome>,
-    statistic: &Statistic,
-    plan: &TrialPlan,
-    make_sampler: F,
-) -> PipelineReport
-where
-    F: Fn(usize) -> G + Sync,
-    G: FnMut(u64, &SeedAssignment) -> R + Send,
-    R: AsRef<[InstanceSample]>,
-{
-    run_pps_multi_with(
-        dataset,
-        tau_star,
-        &[(registry, statistic)],
-        plan,
-        make_sampler,
-    )
-    .pop()
-    .expect("one combination in, one report out")
-}
-
-/// Multi-query variant of [`run_pps_with`]; see [`run_oblivious_multi_with`]
-/// for the shared-replay structure and the bit-identity argument.  Here the
-/// shared per-trial work is even larger: the sampled-key union and the
-/// weighted outcome assembly (seeds, tau*, values) are computed once for
-/// all combinations.
+/// [`run_oblivious_multi_with`] for the trial structure, the shared-replay
+/// structure and the bit-identity argument.  Here the shared per-trial work
+/// is even larger: the sampled-key union and the weighted lane fill (seeds,
+/// tau*, values) are computed once for all combinations.
 pub(crate) fn run_pps_multi_with<R, G, F>(
     dataset: &Dataset,
     tau_star: f64,

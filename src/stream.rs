@@ -1,237 +1,88 @@
-//! The sharded streaming front-end: traffic source → N shard sketches →
-//! merge tree → the batched estimation stage.
+//! Sharded sketch ingest: record stream → N shard sketches → merge tree →
+//! finalized per-instance samples.
 //!
-//! [`StreamPipeline`] is the streaming counterpart of [`Pipeline`]: instead
-//! of sampling fully materialized instances, it replays each instance's
-//! record stream through per-shard [`Sketch`]es (one OS thread per shard),
-//! combines them with a binary merge tree, and finalizes into the exact
-//! per-instance samples the estimation stage already consumes.  For the
-//! hash-seeded schemes the estimates are **bit-identical** to the batch
-//! [`Pipeline`] on the same seeds, whatever the shard count — sharding is an
-//! execution strategy, not a statistical choice.
+//! This is the one sampling path of [`Pipeline`]: each trial replays every
+//! instance's record stream through per-shard [`Sketch`]es, combines them
+//! with a binary merge tree, and finalizes the per-instance samples the
+//! estimation stage consumes.  For the hash-seeded schemes the samples are
+//! **bit-identical** to single-stream sampling on the same seeds, whatever
+//! the shard count — sharding is an execution strategy, not a statistical
+//! choice.
 //!
 //! Sketches are pooled per `(instance, shard)` and reset between
 //! Monte-Carlo trials, so the steady-state ingest loop performs no
 //! per-record heap allocation.
 //!
 //! ```
-//! use partial_info_estimators::{Pipeline, Scheme, Statistic, StreamPipeline};
+//! use partial_info_estimators::{Pipeline, Scheme, Statistic};
 //! use partial_info_estimators::core::suite::max_weighted_suite;
 //! use partial_info_estimators::datagen::{generate_two_hours, TrafficConfig};
 //! use std::sync::Arc;
 //!
 //! let data = Arc::new(generate_two_hours(&TrafficConfig::small(3)));
-//! let streamed = StreamPipeline::new()
-//!     .dataset(Arc::clone(&data))
-//!     .scheme(Scheme::pps(200.0))
-//!     .shards(4)
-//!     .estimators(max_weighted_suite())
-//!     .statistic(Statistic::max_dominance())
-//!     .trials(10)
-//!     .run()
-//!     .unwrap();
-//! let batch = Pipeline::new()
-//!     .dataset(data)
-//!     .scheme(Scheme::pps(200.0))
-//!     .estimators(max_weighted_suite())
-//!     .statistic(Statistic::max_dominance())
-//!     .trials(10)
-//!     .run()
-//!     .unwrap();
-//! assert_eq!(streamed, batch, "sharding must not change the estimates");
+//! let run = |shards| {
+//!     Pipeline::new()
+//!         .dataset(Arc::clone(&data))
+//!         .scheme(Scheme::pps(200.0))
+//!         .shards(shards)
+//!         .estimators(max_weighted_suite())
+//!         .statistic(Statistic::max_dominance())
+//!         .trials(10)
+//!         .run()
+//!         .unwrap()
+//! };
+//! assert_eq!(run(4), run(1), "sharding must not change the estimates");
 //! ```
 
-use std::sync::Arc;
-
-use pie_datagen::{Dataset, ShardedStream};
+use pie_datagen::ShardedStream;
 use pie_sampling::{
-    InstanceSample, Key, ObliviousPoissonSampler, PpsPoissonSampler, SamplingScheme,
-    SeedAssignment, Sketch,
+    InstanceSample, Key, ObliviousPoissonSampler, ObliviousPoissonSketch, PpsPoissonSampler,
+    PpsPoissonSketch, SamplingScheme, SeedAssignment, Sketch,
 };
 
-use crate::pipeline::{
-    run_oblivious_with, run_pps_with, validate_scheme, EstimatorSet, PipelineError, PipelineReport,
-    Scheme, Statistic, TrialPlan,
-};
+use crate::pipeline::{Pipeline, Scheme};
 
-/// Builder wiring record stream → sharded ingest → merge tree → batched
-/// estimation.  See the [module docs](self) for the full walkthrough.
-#[derive(Debug)]
-#[must_use = "a stream pipeline does nothing until .run()"]
-pub struct StreamPipeline {
-    pub(crate) dataset: Option<Arc<Dataset>>,
-    pub(crate) scheme: Option<Scheme>,
-    pub(crate) shards: usize,
-    pub(crate) estimators: Option<EstimatorSet>,
-    pub(crate) statistic: Option<Statistic>,
-    pub(crate) trials: u64,
-    pub(crate) base_salt: u64,
-    pub(crate) threads: Option<usize>,
+/// Former name of [`Pipeline`], which now samples every trial through
+/// sharded sketch ingest; kept so existing callers still compile.
+pub type StreamPipeline = Pipeline;
+
+/// The pooled sketches of one of the pipeline's [`Scheme`]s, laid out
+/// `[shard][instance]` as [`sketch_pools`] builds them.
+pub(crate) enum SchemePools {
+    /// Weight-oblivious Poisson sketches.
+    Oblivious(Vec<Vec<ObliviousPoissonSketch>>),
+    /// Weighted PPS Poisson sketches.
+    Pps(Vec<Vec<PpsPoissonSketch>>),
 }
 
-impl Default for StreamPipeline {
-    /// Same as [`StreamPipeline::new`]: empty stages, 1 shard, 100 trials,
-    /// salt 0.
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
-impl StreamPipeline {
-    /// Starts an empty stream pipeline (1 shard, 100 trials, salt 0).
-    pub fn new() -> Self {
-        Self {
-            dataset: None,
-            scheme: None,
-            shards: 1,
-            estimators: None,
-            statistic: None,
-            trials: 100,
-            base_salt: 0,
-            threads: None,
+impl SchemePools {
+    /// Opens the pools for `scheme` over `stream`; `seeds` only shapes the
+    /// initial sketches, since every pass resets them to its own seeds.
+    pub(crate) fn new(scheme: Scheme, stream: &ShardedStream, seeds: &SeedAssignment) -> Self {
+        match scheme {
+            Scheme::ObliviousPoisson { p } => Self::Oblivious(sketch_pools(
+                &ObliviousPoissonSampler::new(p),
+                stream,
+                seeds,
+            )),
+            Scheme::PpsPoisson { tau_star } => Self::Pps(sketch_pools(
+                &PpsPoissonSampler::new(tau_star),
+                stream,
+                seeds,
+            )),
         }
     }
 
-    /// Sets the dataset whose record stream is replayed.
-    pub fn dataset(mut self, dataset: impl Into<Arc<Dataset>>) -> Self {
-        self.dataset = Some(dataset.into());
-        self
-    }
-
-    /// Sets the per-instance sampling scheme.
-    pub fn scheme(mut self, scheme: Scheme) -> Self {
-        self.scheme = Some(scheme);
-        self
-    }
-
-    /// Sets the number of ingest shards per instance (default 1; values
-    /// below 1 are clamped to 1).  Each shard ingests on its own thread.
-    pub fn shards(mut self, shards: usize) -> Self {
-        self.shards = shards.max(1);
-        self
-    }
-
-    /// Sets the estimators to run (registry regime must match the scheme).
-    pub fn estimators(mut self, estimators: impl Into<EstimatorSet>) -> Self {
-        self.estimators = Some(estimators.into());
-        self
-    }
-
-    /// Sets the aggregated statistic (and the ground truth it implies).
-    pub fn statistic(mut self, statistic: Statistic) -> Self {
-        self.statistic = Some(statistic);
-        self
-    }
-
-    /// Sets the number of Monte-Carlo sampling trials (default 100).
-    pub fn trials(mut self, trials: u64) -> Self {
-        self.trials = trials;
-        self
-    }
-
-    /// Sets the base hash salt; trial `t` uses salt `base_salt + t`.
-    pub fn base_salt(mut self, base_salt: u64) -> Self {
-        self.base_salt = base_salt;
-        self
-    }
-
-    /// Sets the number of worker threads for the Monte-Carlo trial loop
-    /// (clamped to ≥ 1; default `PIE_THREADS`, else available parallelism).
-    ///
-    /// Trial workers are orthogonal to [`shards`](Self::shards): each worker
-    /// owns a full set of per-`(instance, shard)` sketch pools and replays
-    /// whole trials.  As with the batch [`crate::Pipeline`], the thread
-    /// count never changes the report — only the wall clock.
-    pub fn threads(mut self, threads: usize) -> Self {
-        self.threads = Some(threads.max(1));
-        self
-    }
-
-    /// Runs the pipeline: partitions each instance's record stream across
-    /// the configured shards once, then per trial ingests all `(instance,
-    /// shard)` parts concurrently into pooled sketches, merges, finalizes,
-    /// and feeds the estimation stage shared with [`crate::Pipeline`].
-    ///
-    /// # Errors
-    /// Returns a [`PipelineError`] if a stage is missing, a scheme parameter
-    /// is out of range, or the estimator regime does not match the scheme.
-    pub fn run(self) -> Result<PipelineReport, PipelineError> {
-        let dataset = self.dataset.ok_or(PipelineError::MissingDataset)?;
-        let scheme = self.scheme.ok_or(PipelineError::MissingScheme)?;
-        let estimators = self.estimators.ok_or(PipelineError::MissingEstimators)?;
-        let statistic = self.statistic.ok_or(PipelineError::MissingStatistic)?;
-        if estimators.len() == 0 {
-            return Err(PipelineError::MissingEstimators);
+    /// One sampling pass: [`ingest_merge_finalize`] over these pools.
+    pub(crate) fn ingest_merge_finalize(
+        &mut self,
+        stream: &ShardedStream,
+        seeds: &SeedAssignment,
+    ) -> Vec<InstanceSample> {
+        match self {
+            Self::Oblivious(pools) => ingest_merge_finalize(stream, pools, seeds),
+            Self::Pps(pools) => ingest_merge_finalize(stream, pools, seeds),
         }
-        validate_scheme(scheme)?;
-        let seeds0 = SeedAssignment::independent_known(self.base_salt);
-        let plan = TrialPlan::new(self.trials, self.base_salt, self.threads);
-        match (scheme, estimators) {
-            (Scheme::ObliviousPoisson { p }, EstimatorSet::Oblivious(registry)) => {
-                // Weight-oblivious sampling runs over the key universe, so
-                // every union key is streamed into every instance's shards.
-                let stream = ShardedStream::over_universe(&dataset, self.shards);
-                let sampler = ObliviousPoissonSampler::new(p);
-                let stream = &stream;
-                Ok(run_oblivious_with(
-                    &dataset,
-                    &registry,
-                    &statistic,
-                    &plan,
-                    |_worker| {
-                        // Each trial worker owns one full sketch-pool set;
-                        // sketches reset to the trial's seeds before ingest,
-                        // so any worker replays any trial identically.
-                        let mut pools = sketch_pools(&sampler, stream, &seeds0);
-                        move |_t, seeds: &SeedAssignment| {
-                            ingest_merge_finalize(stream, &mut pools, seeds)
-                        }
-                    },
-                ))
-            }
-            (Scheme::PpsPoisson { tau_star }, EstimatorSet::Weighted(registry)) => {
-                let stream = ShardedStream::from_dataset(&dataset, self.shards);
-                let sampler = PpsPoissonSampler::new(tau_star);
-                let stream = &stream;
-                Ok(run_pps_with(
-                    &dataset,
-                    tau_star,
-                    &registry,
-                    &statistic,
-                    &plan,
-                    |_worker| {
-                        let mut pools = sketch_pools(&sampler, stream, &seeds0);
-                        move |_t, seeds: &SeedAssignment| {
-                            ingest_merge_finalize(stream, &mut pools, seeds)
-                        }
-                    },
-                ))
-            }
-            (scheme, estimators) => Err(PipelineError::RegimeMismatch {
-                scheme: format!("{scheme:?}"),
-                estimators: match estimators {
-                    EstimatorSet::Oblivious(_) => "weight-oblivious",
-                    EstimatorSet::Weighted(_) => "weighted",
-                },
-            }),
-        }
-    }
-
-    /// Samples the configured dataset and finalizes the per-trial samples
-    /// into a servable [`CatalogEntry`](crate::CatalogEntry) instead of
-    /// estimating — the export hook behind `pie-serve`'s sketch catalog.
-    ///
-    /// Only the dataset, scheme, shards, trials, and base salt are
-    /// consulted: estimator and statistic choice is deferred to each query
-    /// against the entry (that deferral is the point of serving).
-    ///
-    /// # Errors
-    /// [`PipelineError::MissingDataset`] / [`PipelineError::MissingScheme`]
-    /// / [`PipelineError::InvalidScheme`].
-    pub fn into_catalog_entry(self) -> Result<crate::CatalogEntry, PipelineError> {
-        let dataset = self.dataset.ok_or(PipelineError::MissingDataset)?;
-        let scheme = self.scheme.ok_or(PipelineError::MissingScheme)?;
-        crate::CatalogEntry::build(dataset, scheme, self.shards, self.trials, self.base_salt)
     }
 }
 
@@ -252,34 +103,9 @@ pub fn sketch_pools<S: SamplingScheme>(
         .collect()
 }
 
-/// How a sharded ingest pass executes its per-shard work.
-///
-/// The finalized samples are identical whichever strategy runs — strategy is
-/// an execution choice, never a statistical one — so [`Auto`] is the right
-/// default everywhere; the explicit variants exist for benchmarks and tests
-/// that must pin one path (e.g. exercising [`Threaded`] on a single-core CI
-/// runner, where [`Auto`] would pick [`Sequential`]).
-///
-/// [`Auto`]: IngestStrategy::Auto
-/// [`Sequential`]: IngestStrategy::Sequential
-/// [`Threaded`]: IngestStrategy::Threaded
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum IngestStrategy {
-    /// [`Threaded`](IngestStrategy::Threaded) when the host has more than one
-    /// hardware thread and the stream has more than one shard, else
-    /// [`Sequential`](IngestStrategy::Sequential).
-    Auto,
-    /// All shards ingest on the calling thread via [`Sketch::ingest_group`],
-    /// which lets set-determined schemes (bottom-k) share one bounded
-    /// retention structure across the whole group instead of paying per-shard
-    /// retention that grows with the shard count.
-    Sequential,
-    /// One OS thread per shard, each covering all instances.
-    Threaded,
-}
-
-/// Cached hardware-parallelism probe for [`IngestStrategy::Auto`]: querying
-/// it per trial in the hot loop would be a syscall per pass.
+/// Cached hardware-parallelism probe for [`ingest_merge_finalize`]'s
+/// strategy choice: querying it per trial in the hot loop would be a
+/// syscall per pass.
 fn multi_core() -> bool {
     use std::sync::OnceLock;
     static MULTI_CORE: OnceLock<bool> = OnceLock::new();
@@ -288,16 +114,18 @@ fn multi_core() -> bool {
 
 /// One sharded sampling pass over a record stream: resets the pooled
 /// sketches (layout `pools[shard][instance]`, from [`sketch_pools`]) to this
-/// randomization, ingests every shard's parts ([`IngestStrategy::Auto`]),
-/// merges the shard sketches per instance via [`Sketch::merge_many`], and
-/// finalizes into one [`InstanceSample`] per instance.
+/// randomization, ingests every shard's parts (one thread per shard on a
+/// multi-core host, else all on the calling thread), merges the shard
+/// sketches per instance via [`Sketch::merge_many`], and finalizes into one
+/// [`InstanceSample`] per instance.
 ///
 /// This is the single implementation of the sketch lifecycle choreography:
-/// the [`StreamPipeline`] hot loop calls it once per trial, and the
-/// `stream_ingest_throughput` bench and `sharded_traffic` example call it
-/// directly, so all three exercise the same code path.  The sketches are
-/// drained but keep their allocations, so repeated passes perform no
-/// per-record heap allocation.
+/// the [`Pipeline`] trial loop and
+/// [`CatalogEntry::build`](crate::CatalogEntry::build) call it once per
+/// trial, and the `stream_ingest_throughput` bench and `sharded_traffic`
+/// example call it directly, so all of them exercise the same code path.
+/// The sketches are drained but keep their allocations, so repeated passes
+/// perform no per-record heap allocation.
 ///
 /// # Panics
 /// Panics if `pools` does not match the stream's `[shard][instance]` shape.
@@ -306,18 +134,28 @@ pub fn ingest_merge_finalize<K: Sketch>(
     pools: &mut [Vec<K>],
     seeds: &SeedAssignment,
 ) -> Vec<InstanceSample> {
-    ingest_merge_finalize_with(stream, pools, seeds, IngestStrategy::Auto)
+    let threaded = stream.shards() > 1 && multi_core();
+    ingest_merge_finalize_with(stream, pools, seeds, threaded)
 }
 
-/// [`ingest_merge_finalize`] with an explicit [`IngestStrategy`].
+/// [`ingest_merge_finalize`] with its execution strategy pinned.  The
+/// finalized samples are identical either way — strategy is an execution
+/// choice, never a statistical one — so only this module's tests pin it
+/// (e.g. to exercise the threaded path on a single-core host).
+///
+/// `threaded` runs one OS thread per shard, each covering all instances.
+/// Otherwise all shards ingest on the calling thread via
+/// [`Sketch::ingest_group`], which lets set-determined schemes (bottom-k)
+/// share one bounded retention structure across the whole group instead of
+/// paying per-shard retention that grows with the shard count.
 ///
 /// # Panics
 /// Panics if `pools` does not match the stream's `[shard][instance]` shape.
-pub fn ingest_merge_finalize_with<K: Sketch>(
+fn ingest_merge_finalize_with<K: Sketch>(
     stream: &ShardedStream,
     pools: &mut [Vec<K>],
     seeds: &SeedAssignment,
-    strategy: IngestStrategy,
+    threaded: bool,
 ) -> Vec<InstanceSample> {
     let shards = stream.shards();
     let instances = stream.num_instances();
@@ -325,11 +163,6 @@ pub fn ingest_merge_finalize_with<K: Sketch>(
         pools.len() == shards && pools.iter().all(|column| column.len() == instances),
         "sketch pools must be [shard][instance]-shaped for this stream"
     );
-    let threaded = match strategy {
-        IngestStrategy::Auto => shards > 1 && multi_core(),
-        IngestStrategy::Sequential => false,
-        IngestStrategy::Threaded => true,
-    };
     if threaded {
         let ingest_column = |s: usize, column: &mut Vec<K>| {
             for (i, sketch) in column.iter_mut().enumerate() {
@@ -399,9 +232,14 @@ pub fn merge_finalize<K: Sketch>(pools: &mut [Vec<K>]) -> Vec<InstanceSample> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{Pipeline, Statistic};
+    use crate::pipeline::{run_oblivious_multi_with, run_pps_multi_with, PipelineError, TrialPlan};
+    use crate::Statistic;
     use pie_core::suite::{max_oblivious_suite, max_weighted_suite};
-    use pie_datagen::{generate_two_hours, paper_example, TrafficConfig};
+    use pie_datagen::{
+        generate_set_pair, generate_two_hours, paper_example, Dataset, SetPairConfig, TrafficConfig,
+    };
+    use pie_sampling::{sample_all, sample_all_with_universe};
+    use std::sync::Arc;
 
     #[test]
     fn stream_pipeline_requires_every_stage() {
@@ -446,61 +284,91 @@ mod tests {
         assert!(matches!(err, PipelineError::InvalidScheme { .. }));
     }
 
+    /// A 40-trial max-dominance pipeline over `data`, salted from 3.
+    fn sharded(data: &Arc<Dataset>, scheme: Scheme, shards: usize, threads: usize) -> Pipeline {
+        Pipeline::new()
+            .dataset(Arc::clone(data))
+            .scheme(scheme)
+            .shards(shards)
+            .threads(threads)
+            .statistic(Statistic::max_dominance())
+            .trials(40)
+            .base_salt(3)
+    }
+
+    /// The batch-sampling reference is every trial sampling each instance
+    /// with `sample_all` — no sketch pools, shards or merges — and feeding
+    /// the samples straight into the estimation core.  The sharded stream
+    /// must reproduce it bit for bit at every shard and thread count.
     #[test]
     fn sharded_pps_stream_matches_batch_pipeline_bitwise() {
         let data = Arc::new(generate_two_hours(&TrafficConfig::small(5)));
-        let batch = Pipeline::new()
-            .dataset(Arc::clone(&data))
-            .scheme(Scheme::pps(150.0))
-            .estimators(max_weighted_suite())
-            .statistic(Statistic::max_dominance())
-            .trials(25)
-            .base_salt(3)
-            .run()
-            .unwrap();
+        let (weighted, statistic) = (max_weighted_suite(), Statistic::max_dominance());
+        let hours = data.instances();
+        let batch = run_pps_multi_with(
+            &data,
+            150.0,
+            &[(&weighted, &statistic)],
+            &TrialPlan::new(40, 3, Some(1)),
+            |_worker| {
+                let sampler = PpsPoissonSampler::new(150.0);
+                move |_t, seeds: &SeedAssignment| sample_all(&sampler, hours, seeds)
+            },
+        );
         for shards in [1, 2, 4, 7] {
-            let streamed = StreamPipeline::new()
-                .dataset(Arc::clone(&data))
-                .scheme(Scheme::pps(150.0))
-                .shards(shards)
-                .estimators(max_weighted_suite())
-                .statistic(Statistic::max_dominance())
-                .trials(25)
-                .base_salt(3)
-                .run()
-                .unwrap();
-            assert_eq!(streamed, batch, "{shards} shards");
+            for threads in [1, 4] {
+                let streamed = sharded(&data, Scheme::pps(150.0), shards, threads)
+                    .estimators(max_weighted_suite())
+                    .run()
+                    .unwrap();
+                assert_eq!(
+                    [streamed],
+                    batch.as_slice(),
+                    "{shards} shards, {threads} threads"
+                );
+            }
         }
     }
 
+    /// As above for the oblivious regime, whose batch reference samples the
+    /// whole key universe with `sample_all_with_universe`.  Set pairs leave
+    /// keys out of one set, so the universe stream carries zero-valued
+    /// records that the oblivious scheme must sample.
     #[test]
     fn sharded_oblivious_stream_matches_batch_pipeline_bitwise() {
-        let data = Arc::new(paper_example().take_instances(2));
-        let batch = Pipeline::new()
-            .dataset(Arc::clone(&data))
-            .scheme(Scheme::oblivious(0.5))
-            .estimators(max_oblivious_suite(0.5, 0.5))
-            .statistic(Statistic::max_dominance())
-            .trials(200)
-            .run()
-            .unwrap();
-        for shards in [1, 3, 4] {
-            let streamed = StreamPipeline::new()
-                .dataset(Arc::clone(&data))
-                .scheme(Scheme::oblivious(0.5))
-                .shards(shards)
-                .estimators(max_oblivious_suite(0.5, 0.5))
-                .statistic(Statistic::max_dominance())
-                .trials(200)
-                .run()
-                .unwrap();
-            assert_eq!(streamed, batch, "{shards} shards");
+        let data = Arc::new(generate_set_pair(&SetPairConfig::new(200, 0.5)));
+        let (oblivious, statistic) = (max_oblivious_suite(0.5, 0.5), Statistic::max_dominance());
+        let (instances, universe) = (data.instances(), data.keys());
+        let universe = universe.as_slice();
+        let batch = run_oblivious_multi_with(
+            &data,
+            &[(&oblivious, &statistic)],
+            &TrialPlan::new(40, 3, Some(1)),
+            |_worker| {
+                let sampler = ObliviousPoissonSampler::new(0.5);
+                move |_t, seeds: &SeedAssignment| {
+                    sample_all_with_universe(&sampler, instances, universe, seeds)
+                }
+            },
+        );
+        for shards in [1, 2, 4, 7] {
+            for threads in [1, 4] {
+                let streamed = sharded(&data, Scheme::oblivious(0.5), shards, threads)
+                    .estimators(max_oblivious_suite(0.5, 0.5))
+                    .run()
+                    .unwrap();
+                assert_eq!(
+                    [streamed],
+                    batch.as_slice(),
+                    "{shards} shards, {threads} threads"
+                );
+            }
         }
     }
 
     #[test]
     fn forced_ingest_strategies_are_bit_identical_across_shard_counts() {
-        use pie_sampling::{BottomKSampler, PpsPoissonSampler, PpsRanks};
+        use pie_sampling::{BottomKSampler, PpsRanks};
         let data = generate_two_hours(&TrafficConfig::small(3));
         let seeds = SeedAssignment::independent_known(7);
 
@@ -509,14 +377,15 @@ mod tests {
             stream: &ShardedStream,
             seeds: &SeedAssignment,
         ) -> [Vec<InstanceSample>; 3] {
-            [
-                IngestStrategy::Sequential,
-                IngestStrategy::Threaded,
-                IngestStrategy::Auto,
-            ]
-            .map(|strategy| {
+            // Sequential, threaded, and the automatic choice.
+            [Some(false), Some(true), None].map(|threaded| {
                 let mut pools = sketch_pools(scheme, stream, seeds);
-                ingest_merge_finalize_with(stream, &mut pools, seeds, strategy)
+                match threaded {
+                    Some(threaded) => {
+                        ingest_merge_finalize_with(stream, &mut pools, seeds, threaded)
+                    }
+                    None => ingest_merge_finalize(stream, &mut pools, seeds),
+                }
             })
         }
 
@@ -544,7 +413,7 @@ mod tests {
 
     #[test]
     fn zero_shards_clamps_to_one() {
-        let report = StreamPipeline::new()
+        let report = Pipeline::new()
             .dataset(paper_example().take_instances(2))
             .scheme(Scheme::oblivious(0.5))
             .shards(0)

@@ -3,20 +3,20 @@
 //! Child processes (re-invocations of this test binary, selected via an
 //! environment variable) each ingest one key-partitioned shard of the
 //! Figure 7 max-dominance traffic workload and write their sketch snapshots
-//! with [`StreamPipeline::write_shard_snapshots`].  The parent then loads
-//! every shard's files with [`StreamPipeline::run_from_shard_snapshots`],
+//! with [`Pipeline::write_shard_snapshots`].  The parent then loads
+//! every shard's files with [`Pipeline::run_from_shard_snapshots`],
 //! merges them through the same binary merge tree as in-process ingestion,
 //! and asserts the report **bit-identical** to the single-process
-//! [`StreamPipeline::run`] — serialization and process boundaries must not
+//! [`Pipeline::run`] — serialization and process boundaries must not
 //! perturb a single bit.
 
 use std::path::PathBuf;
-use std::process::Command;
+use std::process::{Command, Stdio};
 use std::sync::Arc;
 
 use partial_info_estimators::core::suite::max_weighted_suite;
 use partial_info_estimators::datagen::{generate_two_hours, Dataset, TrafficConfig};
-use partial_info_estimators::{Scheme, Statistic, StreamPipeline};
+use partial_info_estimators::{Pipeline, Scheme, Statistic};
 
 const ENV_DIR: &str = "PIE_SHARD_WORKER_DIR";
 const ENV_SHARD: &str = "PIE_SHARD_WORKER_SHARD";
@@ -30,8 +30,8 @@ fn traffic() -> Arc<Dataset> {
 
 /// The shared experiment configuration; every process must build it
 /// identically for the manifests to validate.
-fn pipeline(data: &Arc<Dataset>, shards: usize) -> StreamPipeline {
-    StreamPipeline::new()
+fn pipeline(data: &Arc<Dataset>, shards: usize) -> Pipeline {
+    Pipeline::new()
         .dataset(Arc::clone(data))
         .scheme(Scheme::pps(180.0))
         .shards(shards)
@@ -68,7 +68,9 @@ fn cross_process_shard_merge_is_bit_identical_to_single_process() {
             std::env::temp_dir().join(format!("pie-cross-process-{}-{shards}", std::process::id()));
         std::fs::create_dir_all(&dir).unwrap();
 
-        // Each child is a separate OS process ingesting one key range.
+        // Each child is a separate OS process ingesting one key range.  Their
+        // harness output is captured rather than inherited, so concurrent
+        // children cannot interleave lines into this binary's own output.
         let children: Vec<_> = (0..shards)
             .map(|s| {
                 Command::new(&exe)
@@ -77,13 +79,21 @@ fn cross_process_shard_merge_is_bit_identical_to_single_process() {
                     .env(ENV_DIR, &dir)
                     .env(ENV_SHARD, s.to_string())
                     .env(ENV_SHARDS, shards.to_string())
+                    .stdout(Stdio::piped())
+                    .stderr(Stdio::piped())
                     .spawn()
                     .expect("spawn shard worker")
             })
             .collect();
-        for mut child in children {
-            let status = child.wait().expect("await shard worker");
-            assert!(status.success(), "shard worker failed: {status}");
+        for child in children {
+            let out = child.wait_with_output().expect("await shard worker");
+            assert!(
+                out.status.success(),
+                "shard worker failed: {}\n{}{}",
+                out.status,
+                String::from_utf8_lossy(&out.stdout),
+                String::from_utf8_lossy(&out.stderr)
+            );
         }
 
         let merged = pipeline(&data, shards)

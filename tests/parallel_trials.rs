@@ -3,10 +3,10 @@
 //! The contract (extending the `tests/stream_merge.rs` pattern from shards
 //! to trial workers): the number of worker threads driving the Monte-Carlo
 //! trial loop is an execution choice, **never** a statistical one.
-//! `Pipeline` and `StreamPipeline` reports — means, variances, every
-//! floating-point field — are bit-identical at 1, 2, 3, and 8 threads, for
-//! both outcome regimes, with threads composed with ingest shards, and
-//! under the `PIE_THREADS` environment default.
+//! `Pipeline` reports — means, variances, every floating-point field — are
+//! bit-identical at 1, 2, 3, and 8 threads, for both outcome regimes, with
+//! threads composed with ingest shards, and under the `PIE_THREADS`
+//! environment default.
 
 use std::sync::Arc;
 
@@ -17,11 +17,11 @@ use partial_info_estimators::core::suite::{
 use partial_info_estimators::datagen::{
     generate_set_pair, generate_two_hours, paper_example, SetPairConfig, TrafficConfig,
 };
-use partial_info_estimators::{Pipeline, PipelineReport, Scheme, Statistic, StreamPipeline};
+use partial_info_estimators::{Pipeline, PipelineReport, Scheme, Statistic};
 
 const THREAD_COUNTS: [usize; 4] = [1, 2, 3, 8];
 
-/// Runs the batch pipeline at a given thread count.
+/// Runs the single-shard pipeline at a given thread count.
 fn batch_report(threads: usize, scheme: Scheme, trials: u64) -> PipelineReport {
     let builder = Pipeline::new().threads(threads).trials(trials).base_salt(9);
     match scheme {
@@ -72,7 +72,7 @@ fn pps_pipeline_is_bit_identical_at_every_thread_count() {
 fn stream_pipeline_is_bit_identical_across_threads_and_shards() {
     let data = Arc::new(generate_two_hours(&TrafficConfig::small(21)));
     let run = |threads: usize, shards: usize| {
-        StreamPipeline::new()
+        Pipeline::new()
             .dataset(Arc::clone(&data))
             .scheme(Scheme::pps(160.0))
             .shards(shards)
@@ -97,29 +97,23 @@ fn stream_pipeline_is_bit_identical_across_threads_and_shards() {
 }
 
 #[test]
-fn stream_pipeline_oblivious_matches_batch_at_every_thread_count() {
+fn oblivious_pipeline_is_bit_identical_across_threads_and_shards() {
     let data = Arc::new(generate_set_pair(&SetPairConfig::new(250, 0.4)));
-    let batch = Pipeline::new()
-        .dataset(Arc::clone(&data))
-        .scheme(Scheme::oblivious(0.4))
-        .threads(2)
-        .estimators(or_oblivious_suite(0.4, 0.4))
-        .statistic(Statistic::distinct_count())
-        .trials(60)
-        .run()
-        .unwrap();
-    for threads in THREAD_COUNTS {
-        let streamed = StreamPipeline::new()
+    let run = |threads: usize, shards: usize| {
+        Pipeline::new()
             .dataset(Arc::clone(&data))
             .scheme(Scheme::oblivious(0.4))
-            .shards(2)
+            .shards(shards)
             .threads(threads)
             .estimators(or_oblivious_suite(0.4, 0.4))
             .statistic(Statistic::distinct_count())
             .trials(60)
             .run()
-            .unwrap();
-        assert_eq!(streamed, batch, "{threads} threads");
+            .unwrap()
+    };
+    let reference = run(2, 1);
+    for threads in THREAD_COUNTS {
+        assert_eq!(run(threads, 2), reference, "{threads} threads");
     }
 }
 

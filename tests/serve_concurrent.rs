@@ -335,13 +335,13 @@ fn concurrent_soak_estimates_bit_identical_to_pipeline() {
 
 #[test]
 fn served_estimates_also_match_stream_pipeline_and_session_exports() {
-    // The catalog hooks: StreamPipeline::into_catalog_entry and a completed
-    // ingest session's finish_into_catalog must serve the same bytes.
-    use partial_info_estimators::StreamPipeline;
+    // The catalog hooks: a sharded Pipeline::into_catalog_entry and a
+    // completed ingest session's finish_into_catalog must serve the same
+    // bytes.
 
     let data = Arc::new(generate_two_hours(&TrafficConfig::small(9)));
     let configure = || {
-        StreamPipeline::new()
+        Pipeline::new()
             .dataset(Arc::clone(&data))
             .scheme(Scheme::pps(180.0))
             .shards(3)

@@ -11,8 +11,8 @@
 //!   randomness per sketch).
 //! * **Streaming = batch** — a sketch's `finalize` equals the legacy batch
 //!   `sample()` wrapper on the materialized instance.
-//! * **Pipeline invariance** — `StreamPipeline` reproduces the batch
-//!   `Pipeline` report bit for bit at any shard count.
+//! * **Pipeline invariance** — `Pipeline` reproduces its single-shard
+//!   report bit for bit at any shard count.
 
 use std::sync::Arc;
 
@@ -27,7 +27,7 @@ use partial_info_estimators::sampling::{
     ObliviousPoissonSampler, PpsPoissonSampler, PpsRanks, SamplingScheme, SeedAssignment, Sketch,
     VarOptSampler, VarOptScheme,
 };
-use partial_info_estimators::{Pipeline, Scheme, Statistic, StreamPipeline};
+use partial_info_estimators::{Pipeline, Scheme, Statistic};
 
 /// A deterministic heavy-tailed weight for key `k` (so property cases only
 /// need to draw key counts and salts).
@@ -195,22 +195,13 @@ fn varopt_merge_total_estimate_is_unbiased() {
     );
 }
 
-/// Acceptance check: streaming and batch estimator outputs are bit-identical
-/// on shared seeds, for both outcome regimes and for sharded ingest.
+/// Acceptance check: pipeline reports are bit-identical at every shard
+/// count, for both outcome regimes.
 #[test]
-fn stream_pipeline_reports_are_bit_identical_to_batch() {
+fn pipeline_reports_are_bit_identical_across_shard_counts() {
     let data = Arc::new(generate_two_hours(&TrafficConfig::small(9)));
-    let batch = Pipeline::new()
-        .dataset(Arc::clone(&data))
-        .scheme(Scheme::pps(120.0))
-        .estimators(max_weighted_suite())
-        .statistic(Statistic::max_dominance())
-        .trials(20)
-        .base_salt(5)
-        .run()
-        .unwrap();
-    for shards in [1, 4, 6] {
-        let streamed = StreamPipeline::new()
+    let pps = |shards| {
+        Pipeline::new()
             .dataset(Arc::clone(&data))
             .scheme(Scheme::pps(120.0))
             .shards(shards)
@@ -219,23 +210,18 @@ fn stream_pipeline_reports_are_bit_identical_to_batch() {
             .trials(20)
             .base_salt(5)
             .run()
-            .unwrap();
-        assert_eq!(streamed, batch, "pps regime, {shards} shards");
+            .unwrap()
+    };
+    let reference = pps(1);
+    for shards in [4, 6] {
+        assert_eq!(pps(shards), reference, "pps regime, {shards} shards");
     }
 
     let small = Arc::new(partial_info_estimators::datagen::generate_set_pair(
         &partial_info_estimators::datagen::SetPairConfig::new(300, 0.5),
     ));
-    let batch = Pipeline::new()
-        .dataset(Arc::clone(&small))
-        .scheme(Scheme::oblivious(0.4))
-        .estimators(or_oblivious_suite(0.4, 0.4))
-        .statistic(Statistic::distinct_count())
-        .trials(50)
-        .run()
-        .unwrap();
-    for shards in [1, 4] {
-        let streamed = StreamPipeline::new()
+    let oblivious = |shards| {
+        Pipeline::new()
             .dataset(Arc::clone(&small))
             .scheme(Scheme::oblivious(0.4))
             .shards(shards)
@@ -243,9 +229,9 @@ fn stream_pipeline_reports_are_bit_identical_to_batch() {
             .statistic(Statistic::distinct_count())
             .trials(50)
             .run()
-            .unwrap();
-        assert_eq!(streamed, batch, "oblivious regime, {shards} shards");
-    }
+            .unwrap()
+    };
+    assert_eq!(oblivious(4), oblivious(1), "oblivious regime, 4 shards");
 }
 
 /// Interleaving ingestion with merges (partial merges of a long stream)
